@@ -883,16 +883,5 @@ let messages_by_label t =
 let reset_message_counters t =
   List.iter (fun (_, site) -> Link.reset_counters (Site.link site)) t.sites
 
-let internal_key key = String.length key >= 2 && String.sub key 0 2 = "__"
-
-let snapshot t =
-  List.concat_map
-    (fun (name, site) ->
-      let db = Site.db site in
-      List.filter_map
-        (fun key ->
-          if internal_key key then None
-          else Option.map (fun v -> (name, key, v)) (Db.committed_value db key))
-        (Db.committed_keys db))
-    t.sites
-  |> List.sort compare
+let committed_total t =
+  List.fold_left (fun acc (_, site) -> acc + Db.committed_total (Site.db site)) 0 t.sites

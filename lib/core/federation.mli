@@ -346,7 +346,6 @@ val batch_envelopes : t -> int
 
 val batch_occupancy_mean : t -> float
 
-(** Committed state across all sites, protocol marker keys filtered out:
-    [(site, key, value)] sorted. The invariant checks of the test-suite and
-    the V6 crash matrix compare these snapshots. *)
-val snapshot : t -> (string * string * int) list
+(** Sum of the committed values across all sites, protocol marker keys
+    left out: the money total the conservation checks compare. *)
+val committed_total : t -> int

@@ -122,61 +122,56 @@ let record_outcome t ~gid ~committed = Hashtbl.replace t.outcomes gid committed
 
 let committed_of t gid = Option.value ~default:false (Hashtbl.find_opt t.outcomes gid)
 
-(* Build edges among committed globals from per-site commit order.
+(* Successor lists among committed globals, built from per-site commit order,
+   and the number of edges in them.
 
-   Per site, a per-key index replaces the all-pairs local scan: each key maps
-   to the committed accessors seen so far, bucketed by kind. A new accessor
-   emits one edge per earlier accessor in a conflicting bucket, so the cost is
-   O(total accesses + conflicting pairs) instead of O(locals^2). *)
+   Per (site, key), the committed accesses in commit order split into maximal
+   runs of one commuting kind: reads, or increments; every write is a run of
+   its own. Two consecutive runs conflict pairwise, so a new access takes an
+   edge only from each member of the previous run: any dropped edge u -> v of
+   the full conflict graph is still a path through the runs between them.
+   Reachability, and with it cycle existence, is unchanged, and since the
+   kept edges are a subset of the full ones, a reported cycle is a real cycle
+   of the full graph. An access costs one edge per previous-run member, so a
+   read/write history builds at most two edges per access. *)
+type run = { mutable kind : kind; mutable members : int list; mutable prev : int list }
+
 let edges t =
-  let edges = Hashtbl.create 256 in
+  let succ : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  let count = ref 0 in
+  let emit g2 g1 =
+    if g1 <> g2 then begin
+      (match Hashtbl.find_opt succ g1 with
+      | Some out -> out := g2 :: !out
+      | None -> Hashtbl.add succ g1 (ref [ g2 ]));
+      incr count
+    end
+  in
   Hashtbl.iter
     (fun _site hist ->
-      let index : (Symbol.t, int list ref * int list ref * int list ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let emit_from g2 g1 = if g1 <> g2 then Hashtbl.replace edges (g1, g2) () in
+      let runs : (Symbol.t, run) Hashtbl.t = Hashtbl.create 64 in
       List.iter
         (fun l ->
           if committed_of t l.gid && not l.compensation then
             Array.iter
               (fun (key, kind) ->
-                let reads, incrs, writes =
-                  match Hashtbl.find_opt index key with
-                  | Some buckets -> buckets
-                  | None ->
-                    let buckets = (ref [], ref [], ref []) in
-                    Hashtbl.replace index key buckets;
-                    buckets
-                in
-                let from = List.iter (emit_from l.gid) in
-                (match kind with
-                | KRead ->
-                  from !incrs;
-                  from !writes;
-                  reads := l.gid :: !reads
-                | KIncr ->
-                  from !reads;
-                  from !writes;
-                  incrs := l.gid :: !incrs
-                | KWrite ->
-                  from !reads;
-                  from !incrs;
-                  from !writes;
-                  writes := l.gid :: !writes))
+                match Hashtbl.find_opt runs key with
+                | None -> Hashtbl.add runs key { kind; members = [ l.gid ]; prev = [] }
+                | Some r ->
+                  if r.kind = kind && kind <> KWrite then r.members <- l.gid :: r.members
+                  else begin
+                    r.prev <- r.members;
+                    r.members <- [ l.gid ];
+                    r.kind <- kind
+                  end;
+                  List.iter (emit l.gid) r.prev)
               l.kinds)
         (List.rev !hist))
     t.histories;
-  edges
+  (succ, !count)
 
 let find_cycle t =
-  let edge_tbl = edges t in
-  let succ = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (a, b) () ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt succ a) in
-      Hashtbl.replace succ a (b :: cur))
-    edge_tbl;
+  let succ, _ = edges t in
   let state = Hashtbl.create 64 in
   (* 0 = in progress, 1 = done *)
   let exception Found of int list in
@@ -192,7 +187,9 @@ let find_cycle t =
       raise (Found (List.rev (cut path)))
     | None ->
       Hashtbl.replace state node 0;
-      List.iter (dfs (node :: path)) (Option.value ~default:[] (Hashtbl.find_opt succ node));
+      (match Hashtbl.find_opt succ node with
+      | Some out -> List.iter (dfs (node :: path)) !out
+      | None -> ());
       Hashtbl.replace state node 1
   in
   try
@@ -268,3 +265,4 @@ let violations t =
 
 let serializable t = violations t = []
 let recorded_locals t = t.locals
+let edge_count t = snd (edges t)

@@ -52,3 +52,8 @@ val serializable : t -> bool
 
 (** Number of local commits recorded (sanity checks in tests). *)
 val recorded_locals : t -> int
+
+(** Number of edges the checker builds over everything recorded, counted
+    once per access that emits one: at most one per member of the key's
+    previous run, so at most two per access on read/write histories. *)
+val edge_count : t -> int

@@ -815,6 +815,11 @@ let committed_value t key = heap_value t key
 let committed_keys t =
   Btree.keys t.index
 
+let committed_total t =
+  Btree.fold t.index ~init:0 ~f:(fun acc key rid ->
+      if internal_key key then acc
+      else match Heap.read t.heap rid with Some (_, v) -> acc + v | None -> acc)
+
 let load t rows =
   (* Bulk preloads can be a million rows: pre-size the interner and the
      lock table's dense entry array so the load doesn't pay repeated

@@ -212,6 +212,10 @@ val committed_value : t -> string -> int option
 
 val committed_keys : t -> string list
 
+(** Sum of the committed values, protocol marker keys left out (their rows
+    are not read). Walks the index without building a key list. *)
+val committed_total : t -> int
+
 (** {1 Metrics} *)
 
 val commit_count : t -> int

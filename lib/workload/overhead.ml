@@ -224,9 +224,7 @@ let run ?registry cfg =
     | Some p -> Icdb_core.Paxos_commit.acceptor_forces p
     | None -> 0
   in
-  let money_after =
-    List.fold_left (fun acc (_, _, v) -> acc + v) 0 (Federation.snapshot fed)
-  in
+  let money_after = Federation.committed_total fed in
   let per_commit n = if committed > 0 then float_of_int n /. float_of_int committed else 0.0 in
   {
     outcomes = Array.to_list outcomes;

@@ -491,9 +491,7 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
   let m = fed.metrics in
   let committed = Metrics.committed m in
   let messages = Federation.total_messages fed in
-  let money_after =
-    List.fold_left (fun acc (_, _, v) -> acc + v) 0 (Federation.snapshot fed)
-  in
+  let money_after = Federation.committed_total fed in
   let violations = Graph.violations fed.graph in
   let sum f = List.fold_left (fun acc (_, site) -> acc + f (Site.db site)) 0 fed.sites in
   {

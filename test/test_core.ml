@@ -728,7 +728,20 @@ let test_graph_detects_cycle () =
   Graph.record_outcome g ~gid:1 ~committed:true;
   Graph.record_outcome g ~gid:2 ~committed:true;
   Alcotest.(check bool) "cycle found" true
-    (List.exists (function Graph.Cycle _ -> true | _ -> false) (Graph.violations g))
+    (List.exists (function Graph.Cycle _ -> true | _ -> false) (Graph.violations g));
+  (* 1 -> 2 at A, 2 -> 3 at B, 3 -> 1 at C: the one cycle, in path order. *)
+  let g = Graph.create () in
+  List.iter
+    (fun (site, first, second) ->
+      Graph.record_local g ~gid:first ~site ~compensation:false (w site);
+      Graph.record_local g ~gid:second ~site ~compensation:false (w site))
+    [ ("A", 1, 2); ("B", 2, 3); ("C", 3, 1) ];
+  List.iter (fun gid -> Graph.record_outcome g ~gid ~committed:true) [ 1; 2; 3 ];
+  match Graph.violations g with
+  | [ Graph.Cycle ([ 1; 2; 3 ] | [ 2; 3; 1 ] | [ 3; 1; 2 ]) ] -> ()
+  | vs ->
+    Alcotest.failf "expected the cycle 1 -> 2 -> 3, got %s"
+      (String.concat "; " (List.map (Format.asprintf "%a" Graph.pp_violation) vs))
 
 let test_graph_serial_order_ok () =
   let g = Graph.create () in
@@ -761,6 +774,31 @@ let test_graph_dirty_read_window () =
   Graph.record_outcome g2 ~gid:1 ~committed:false;
   Graph.record_outcome g2 ~gid:2 ~committed:true;
   Alcotest.(check bool) "after compensation ok" true (Graph.serializable g2)
+
+(* The checker's graph stays linear in the history: a 20k-local read/write
+   history on one hot key, with read runs of 1-50 between writes, builds at
+   most two edges per access. An all-accessors builder, giving each access
+   an edge from every earlier conflicting one, emits about 15 million here. *)
+let test_graph_edges_linear () =
+  let g = Graph.create () in
+  let rng = Random.State.make [| 12 |] in
+  let locals = 20_000 in
+  let gid = ref 0 in
+  let record access =
+    incr gid;
+    Graph.record_local g ~gid:!gid ~site:"A" ~compensation:false [ access ];
+    Graph.record_outcome g ~gid:!gid ~committed:true
+  in
+  while !gid < locals do
+    record (Db.Wrote { key = "hot"; before = None; after = Some !gid });
+    for _ = 1 to min (1 + Random.State.int rng 50) (locals - !gid) do
+      record (Db.Read { key = "hot"; value = None })
+    done
+  done;
+  Alcotest.(check int) "locals" locals (Graph.recorded_locals g);
+  let edges = Graph.edge_count g in
+  if edges > 2 * locals then Alcotest.failf "%d edges for %d accesses" edges locals;
+  Alcotest.(check int) "no violations" 0 (List.length (Graph.violations g))
 
 (* Property: the graph checker's cycle detection agrees with brute force —
    a committed history is serializable iff some total order of the global
@@ -841,25 +879,50 @@ let prop_graph_matches_bruteforce =
    from scratch — on randomized histories mixing committed, aborted and
    compensation locals over all three access kinds (plus "__" marker keys,
    which both sides must ignore). Both the cycle verdict and the exact
-   dirty-read reports must match. *)
+   dirty-read reports must match, and every reported cycle must be a closed
+   walk in the oracle's full conflict graph. Most histories are long (30-40
+   locals per site on a hot key), so runs of three or more same-kind
+   accessors and the hand-off from one run to the next occur, with gids
+   repeating at a site. Sites keep their drawn order, or are sorted by gid
+   (a serial history: no cycle), or sorted with one local moved, so that a
+   cycle, when there is one, hangs on a few specific edges. *)
 let prop_graph_matches_reference_oracle =
   let open QCheck2 in
   let gen =
-    (* 1-2 sites; per site up to 10 locals of (gid, compensation, accesses);
-       key 3 is an internal "__" marker key. *)
+    (* 1-2 sites; per site 0-10 or 30-40 locals of (gid, compensation,
+       accesses); key 0 is hot (drawn 5 times in 8), key 3 is an internal
+       "__" marker key; reads are half the accesses. *)
     Gen.(
       int_range 2 4 >>= fun n_gids ->
-      let access = pair (int_range 0 3) (int_range 0 2) in
+      let key = frequency [ (5, pure 0); (1, pure 1); (1, pure 2); (1, pure 3) ] in
+      let kind = frequency [ (3, pure 0); (1, pure 1); (2, pure 2) ] in
       let local =
         tup3 (int_range 1 n_gids)
           (frequency [ (4, pure false); (1, pure true) ])
-          (list_size (int_range 1 2) access)
+          (list_size (int_range 1 2) (pair key kind))
       in
-      let site_hist = list_size (int_range 0 10) local in
-      tup3 (pure n_gids) (list_size (int_range 1 2) site_hist) (list_repeat n_gids bool))
+      let site_hist =
+        pair
+          (list_size (frequency [ (1, int_range 0 10); (3, int_range 30 40) ]) local)
+          (pair nat nat)
+      in
+      let order = frequency [ (1, pure `Drawn); (1, pure `Serial); (2, pure `Moved) ] in
+      tup4 (pure n_gids) (list_size (int_range 1 2) site_hist) (list_repeat n_gids bool) order)
   in
   QCheck2.Test.make ~name:"indexed graph matches O(n^2) reference oracle" ~count:500 gen
-    (fun (n_gids, raw_sites, outcomes) ->
+    (fun (n_gids, raw_sites, outcomes, order) ->
+      let arrange (hist, (from, dest)) =
+        let sorted = List.stable_sort (fun (g1, _, _) (g2, _, _) -> compare g1 g2) hist in
+        match (order, List.length hist) with
+        | `Drawn, _ -> hist
+        | `Serial, _ | `Moved, 0 -> sorted
+        | `Moved, n ->
+          let from = from mod n and dest = dest mod n in
+          let rest = List.filteri (fun i _ -> i <> from) sorted in
+          List.filteri (fun i _ -> i < dest) rest
+          @ (List.nth sorted from :: List.filteri (fun i _ -> i >= dest) rest)
+      in
+      let raw_sites = List.map arrange raw_sites in
       let access_of (key_i, kind_i) =
         let key = if key_i = 3 then "__marker" else Printf.sprintf "k%d" key_i in
         match kind_i with
@@ -916,8 +979,31 @@ let prop_graph_matches_reference_oracle =
       let conflict_ref la lb =
         List.exists (fun a -> List.exists (access_conflict a) lb) la
       in
+      (* the full conflict graph: g1 -> g2 when some site committed a local
+         of g1 before a conflicting local of g2 *)
+      let full_edges =
+        List.concat_map
+          (fun (_, hist) ->
+            let commits =
+              List.filter_map
+                (fun (gid, comp, accs) ->
+                  if committed gid && not comp then Some (gid, accs) else None)
+                hist
+            in
+            let rec pairs = function
+              | [] -> []
+              | (g1, a1) :: rest ->
+                List.filter_map
+                  (fun (g2, a2) -> if g1 <> g2 && conflict_ref a1 a2 then Some (g1, g2) else None)
+                  rest
+                @ pairs rest
+            in
+            pairs commits)
+          sites
+        |> List.sort_uniq compare
+      in
       (* cycle verdict: serializable iff some total order of the gids is
-         consistent with every site's conflicting committed commit order *)
+         consistent with every full edge *)
       let rec permutations = function
         | [] -> [ [] ]
         | l ->
@@ -927,28 +1013,23 @@ let prop_graph_matches_reference_oracle =
       in
       let consistent perm =
         let pos gid = Option.get (List.find_index (( = ) gid) perm) in
-        List.for_all
-          (fun (_, hist) ->
-            let commits =
-              List.filter_map
-                (fun (gid, comp, accs) ->
-                  if committed gid && not comp then Some (gid, accs) else None)
-                hist
-            in
-            let rec pairs = function
-              | [] -> true
-              | (g1, a1) :: rest ->
-                List.for_all
-                  (fun (g2, a2) ->
-                    g1 = g2 || (not (conflict_ref a1 a2)) || pos g1 < pos g2)
-                  rest
-                && pairs rest
-            in
-            pairs commits)
-          sites
+        List.for_all (fun (g1, g2) -> pos g1 < pos g2) full_edges
       in
       let serializable_ref =
         List.exists consistent (permutations (List.init n_gids (fun i -> i + 1)))
+      in
+      let closed_walk = function
+        | [] -> false
+        | first :: _ as cycle ->
+          let rec steps = function
+            | [ last ] -> List.mem (last, first) full_edges
+            | a :: (b :: _ as rest) -> List.mem (a, b) full_edges && steps rest
+            | [] -> false
+          in
+          steps cycle
+      in
+      let cycles_valid =
+        List.for_all (function Graph.Cycle c -> closed_walk c | Graph.Dirty_read _ -> true) vs
       in
       (* dirty reads: the seed's all-pairs window scan *)
       let dirty_ref =
@@ -1000,7 +1081,7 @@ let prop_graph_matches_reference_oracle =
           sites
         |> List.sort compare
       in
-      cycle_found = not serializable_ref && dirty = dirty_ref)
+      cycle_found = (not serializable_ref) && cycles_valid && dirty = dirty_ref)
 
 (* --- action log --- *)
 
@@ -1087,6 +1168,7 @@ let () =
           Alcotest.test_case "cycle detection" `Quick test_graph_detects_cycle;
           Alcotest.test_case "serial order ok" `Quick test_graph_serial_order_ok;
           Alcotest.test_case "dirty read window" `Quick test_graph_dirty_read_window;
+          Alcotest.test_case "edges linear in accesses" `Quick test_graph_edges_linear;
         ] );
       ( "action-log",
         [ Alcotest.test_case "append/entries/remove" `Quick test_action_log ] );
