@@ -73,9 +73,10 @@ let fetch t pid =
    pattern is not effect-safe (a fiber suspending inside [f] would leave the
    pin held if the continuation were dropped), and [Finally_raised] would
    mask the original exception. [f] either returns or raises; the pin is
-   balanced — and the frame marked dirty, its content may have been touched —
-   on both paths. *)
-let with_page t pid ~write f =
+   balanced on both paths. Under [write] the frame is marked dirty on a
+   raise (its content may have been touched) and on a return for which
+   [dirty] holds. *)
+let pinned t pid ~write ~dirty f =
   let frame = fetch t pid in
   frame.pins <- frame.pins + 1;
   t.tick <- t.tick + 1;
@@ -83,12 +84,15 @@ let with_page t pid ~write f =
   match f frame.page with
   | v ->
     frame.pins <- frame.pins - 1;
-    if write then frame.dirty <- true;
+    if write && dirty v then frame.dirty <- true;
     v
   | exception e ->
     frame.pins <- frame.pins - 1;
     if write then frame.dirty <- true;
     raise e
+
+let with_page t pid ~write f = pinned t pid ~write ~dirty:(fun _ -> true) f
+let with_page_opt t pid f = pinned t pid ~write:true ~dirty:Option.is_some f
 
 let flush_page t pid =
   match Hashtbl.find_opt t.frames pid with

@@ -29,6 +29,12 @@ val set_wal_hook : t -> (lsn:int64 -> unit) -> unit
     unwrapped. *)
 val with_page : t -> Disk.page_id -> write:bool -> (Page.t -> 'a) -> 'a
 
+(** [with_page_opt t pid f] is [with_page t pid ~write:true f] for a write
+    that may not happen: the frame is marked dirty only when [f] returns
+    [Some _] (or raises), so a probe that leaves the page untouched and
+    returns [None] does not make it a write-back candidate. *)
+val with_page_opt : t -> Disk.page_id -> (Page.t -> 'a option) -> 'a option
+
 (** Outstanding pins summed over all frames. Zero between operations: every
     pin is scoped to a {!with_page} call, so a persistent nonzero count is a
     pin leak (and will eventually make eviction fail). *)

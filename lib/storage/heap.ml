@@ -20,7 +20,7 @@ let stamp page lsn = if Int64.compare lsn (Page.lsn page) > 0 then Page.set_lsn 
 let insert t ~lsn ~key ~value =
   let payload = Record.encode ~key ~value in
   let try_page pid =
-    Buffer_pool.with_page t.pool pid ~write:true (fun page ->
+    Buffer_pool.with_page_opt t.pool pid (fun page ->
         match Page.insert page ~payload with
         | Some slot ->
           stamp page lsn;

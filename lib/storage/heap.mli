@@ -25,7 +25,9 @@ val create : Disk.t -> Buffer_pool.t -> t
 val recover : Disk.t -> Buffer_pool.t -> t
 
 (** [insert t ~lsn ~key ~value] places a record, allocating a fresh page when
-    none of the known pages fits, and returns its rid. *)
+    none of the known pages fits, and returns its rid. First fit: the newest
+    page first, then the older pages newest to oldest. Only the page that
+    takes the record is marked dirty. *)
 val insert : t -> lsn:int64 -> key:string -> value:int -> rid
 
 (** [insert_at t ~lsn rid ~key ~value] re-creates a record at a specific rid

@@ -1,56 +1,48 @@
-type t = bytes
+(* [b] is the page image. [live] caches the sum of live payload lengths so
+   fit checks are O(1); [set_slot_entry] is the only writer of directory
+   entries and keeps it current. *)
+type t = { b : bytes; mutable live : int }
 
 let size = 4096
 let header_bytes = 12
 let dir_entry_bytes = 4
 
-let lsn t = Bytes.get_int64_be t 0
-let set_lsn t v = Bytes.set_int64_be t 0 v
+let lsn t = Bytes.get_int64_be t.b 0
+let set_lsn t v = Bytes.set_int64_be t.b 0 v
 
-let slot_count t = Bytes.get_uint16_be t 8
-let set_slot_count t n = Bytes.set_uint16_be t 8 n
+let slot_count t = Bytes.get_uint16_be t.b 8
+let set_slot_count t n = Bytes.set_uint16_be t.b 8 n
 
 (* Lowest byte occupied by payload data; free space is
    [dir_end, data_floor). *)
-let data_floor t = Bytes.get_uint16_be t 10
-let set_data_floor t v = Bytes.set_uint16_be t 10 v
+let data_floor t = Bytes.get_uint16_be t.b 10
+let set_data_floor t v = Bytes.set_uint16_be t.b 10 v
 
 let create () =
-  let t = Bytes.make size '\000' in
+  let t = { b = Bytes.make size '\000'; live = 0 } in
   set_data_floor t size;
   t
 
-let copy t = Bytes.copy t
+let copy t = { b = Bytes.copy t.b; live = t.live }
 
 let dir_offset slot = header_bytes + (slot * dir_entry_bytes)
 let dir_end t = dir_offset (slot_count t)
 
-let slot_entry t slot =
-  let off = Bytes.get_uint16_be t (dir_offset slot) in
-  let len = Bytes.get_uint16_be t (dir_offset slot + 2) in
-  (off, len)
+let slot_off t slot = Bytes.get_uint16_be t.b (dir_offset slot)
+let slot_len t slot = Bytes.get_uint16_be t.b (dir_offset slot + 2)
 
+(* Entries at or past [slot_count] may hold stale bytes, so only an entry
+   inside the directory counts towards [live] before it is overwritten. *)
 let set_slot_entry t slot ~off ~len =
-  Bytes.set_uint16_be t (dir_offset slot) off;
-  Bytes.set_uint16_be t (dir_offset slot + 2) len
+  if slot < slot_count t && slot_off t slot <> 0 then t.live <- t.live - slot_len t slot;
+  Bytes.set_uint16_be t.b (dir_offset slot) off;
+  Bytes.set_uint16_be t.b (dir_offset slot + 2) len;
+  if off <> 0 then t.live <- t.live + len
 
-let is_live t slot =
-  slot >= 0 && slot < slot_count t && fst (slot_entry t slot) <> 0
+let is_live t slot = slot >= 0 && slot < slot_count t && slot_off t slot <> 0
 
 let read t ~slot =
-  if not (is_live t slot) then None
-  else begin
-    let off, len = slot_entry t slot in
-    Some (Bytes.sub t off len)
-  end
-
-let live_payload_bytes t =
-  let acc = ref 0 in
-  for s = 0 to slot_count t - 1 do
-    let off, len = slot_entry t s in
-    if off <> 0 then acc := !acc + len
-  done;
-  !acc
+  if not (is_live t slot) then None else Some (Bytes.sub t.b (slot_off t slot) (slot_len t slot))
 
 (* Rewrites all live payloads against the end of the page, eliminating the
    holes left by deletes and relocating updates. Slot numbers are stable. *)
@@ -58,8 +50,7 @@ let compact t =
   let records =
     List.filter_map
       (fun s ->
-        let off, len = slot_entry t s in
-        if off = 0 then None else Some (s, Bytes.sub t off len))
+        if slot_off t s = 0 then None else Some (s, Bytes.sub t.b (slot_off t s) (slot_len t s)))
       (List.init (slot_count t) Fun.id)
   in
   let floor = ref size in
@@ -67,13 +58,12 @@ let compact t =
     (fun (s, payload) ->
       let len = Bytes.length payload in
       floor := !floor - len;
-      Bytes.blit payload 0 t !floor len;
+      Bytes.blit payload 0 t.b !floor len;
       set_slot_entry t s ~off:!floor ~len)
     records;
   set_data_floor t !floor
 
-let free_space t =
-  size - dir_end t - dir_entry_bytes - live_payload_bytes t
+let free_space t = size - dir_end t - dir_entry_bytes - t.live
 
 let contiguous_free t = data_floor t - dir_end t
 
@@ -94,7 +84,7 @@ let place t ~payload ~want_slot =
   let dir_growth =
     if needs_dir_entry then dir_entry_bytes * (slot + 1 - slot_count t) else 0
   in
-  let usable = size - dir_end t - dir_growth - live_payload_bytes t in
+  let usable = size - dir_end t - dir_growth - t.live in
   if usable < len then None
   else begin
     if contiguous_free t - dir_growth < len then compact t;
@@ -106,7 +96,7 @@ let place t ~payload ~want_slot =
       set_slot_count t (slot + 1)
     end;
     let floor = data_floor t - len in
-    Bytes.blit payload 0 t floor len;
+    Bytes.blit payload 0 t.b floor len;
     set_slot_entry t slot ~off:floor ~len;
     set_data_floor t floor;
     Some slot
@@ -132,10 +122,10 @@ let delete t ~slot =
 let update t ~slot ~payload =
   if not (is_live t slot) then false
   else begin
-    let off, len = slot_entry t slot in
+    let off = slot_off t slot and len = slot_len t slot in
     let new_len = Bytes.length payload in
     if new_len = len then begin
-      Bytes.blit payload 0 t off len;
+      Bytes.blit payload 0 t.b off len;
       true
     end
     else begin

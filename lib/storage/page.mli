@@ -13,7 +13,12 @@
       10..11  offset of the lowest payload byte (free space ends there)
       12..    slot directory, 4 bytes per slot: payload offset, payload length
               (offset = 0 marks a dead slot)
-    v} *)
+    v}
+
+    A page value also caches the total length of its live payloads, so
+    {!free_space} and every fit check are O(1) rather than a directory
+    scan. That count lives only in memory (it is carried by {!copy} and
+    never written into the page bytes): the byte layout above is unchanged. *)
 
 type t
 
@@ -56,9 +61,9 @@ val update : t -> slot:int -> payload:bytes -> bool
     of range. *)
 val delete : t -> slot:int -> bool
 
-(** Contiguous free bytes available for one more insert (accounting for the
-    4-byte directory entry a fresh slot needs); compaction is considered,
-    i.e. this reports usable — not necessarily contiguous — space. *)
+(** Bytes available for one more insert, after the 4-byte directory entry
+    a fresh slot needs. Compaction is taken into account, so this is usable
+    space, not necessarily contiguous. O(1). *)
 val free_space : t -> int
 
 (** Number of directory entries (live and dead). *)

@@ -25,36 +25,50 @@ let create () = { root = Leaf (new_leaf ()); count = 0 }
 
 let insert_at arr i x =
   let n = Array.length arr in
-  Array.init (n + 1) (fun j -> if j < i then arr.(j) else if j = i then x else arr.(j - 1))
+  let out = Array.make (n + 1) x in
+  Array.blit arr 0 out 0 i;
+  Array.blit arr i out (i + 1) (n - i);
+  out
 
 let remove_at arr i =
   let n = Array.length arr in
-  Array.init (n - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
+  let out = Array.sub arr 0 (n - 1) in
+  Array.blit arr (i + 1) out i (n - 1 - i);
+  out
 
 let sub arr lo len = Array.sub arr lo len
 
+(* Both searches are binary and compare with [String.compare], which orders
+   strings exactly as polymorphic compare does, without its dispatch. *)
+
 (* Number of separators <= key = index of the child to descend into. *)
 let child_index seps key =
-  let n = Array.length seps in
-  let rec go i = if i < n && seps.(i) <= key then go (i + 1) else i in
-  go 0
+  let lo = ref 0 and hi = ref (Array.length seps) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if String.compare seps.(mid) key <= 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-(* Position of key in a sorted key array: [Found i] or [Insert i]. *)
+(* Position of key in a sorted key array: [i >= 0] when [keys.(i) = key],
+   otherwise [-(i + 1)] for the insertion point [i]. An int, not a variant,
+   keeps lookups allocation-free. *)
 let search keys key =
-  let n = Array.length keys in
-  let rec go i =
-    if i >= n then `Insert i
-    else if keys.(i) = key then `Found i
-    else if keys.(i) > key then `Insert i
-    else go (i + 1)
-  in
-  go 0
+  let lo = ref 0 and hi = ref (Array.length keys) and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = String.compare keys.(mid) key in
+    if c = 0 then found := mid else if c < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !found >= 0 then !found else -(!lo + 1)
 
 (* --- find --- *)
 
 let rec find_node node key =
   match node with
-  | Leaf l -> ( match search l.lkeys key with `Found i -> Some l.lvals.(i) | `Insert _ -> None)
+  | Leaf l ->
+    let i = search l.lkeys key in
+    if i >= 0 then Some l.lvals.(i) else None
   | Internal n -> find_node n.children.(child_index n.seps key) key
 
 let find t key = find_node t.root key
@@ -92,15 +106,18 @@ let split_internal node =
 (* Returns (added a fresh key?, split). *)
 let rec insert_node node key v =
   match node with
-  | Leaf l -> (
-    match search l.lkeys key with
-    | `Found i ->
+  | Leaf l ->
+    let i = search l.lkeys key in
+    if i >= 0 then begin
       l.lvals.(i) <- v;
       (false, No_split)
-    | `Insert i ->
+    end
+    else begin
+      let i = -i - 1 in
       l.lkeys <- insert_at l.lkeys i key;
       l.lvals <- insert_at l.lvals i v;
-      if Array.length l.lkeys > order then (true, split_leaf l) else (true, No_split))
+      if Array.length l.lkeys > order then (true, split_leaf l) else (true, No_split)
+    end
   | Internal n -> (
     let i = child_index n.seps key in
     let added, split = insert_node n.children.(i) key v in
@@ -224,13 +241,14 @@ let rebalance parent i =
 
 let rec remove_node node key =
   match node with
-  | Leaf l -> (
-    match search l.lkeys key with
-    | `Found i ->
+  | Leaf l ->
+    let i = search l.lkeys key in
+    if i < 0 then false
+    else begin
       l.lkeys <- remove_at l.lkeys i;
       l.lvals <- remove_at l.lvals i;
       true
-    | `Insert _ -> false)
+    end
   | Internal n ->
     let i = child_index n.seps key in
     let removed = remove_node n.children.(i) key in

@@ -525,6 +525,27 @@ let test_load_and_keys () =
       Alcotest.(check (list string)) "keys sorted" [ "a"; "b" ] (Db.committed_keys db);
       Alcotest.(check (option int)) "value" (Some 2) (Db.committed_value db "b"))
 
+(* Preload placement is part of observable behaviour: page-granularity
+   locks conflict by page, so moving rows between pages moves conflicts.
+   Keys are bank-1m's 11-byte [acct-%03d] names (21-byte records plus a
+   4-byte slot, (4096 - 12) / 25 = 163 to a page), filled page by page. *)
+let test_load_placement () =
+  let eng = Sim.create () in
+  let db = Db.create eng (locking_config "s") in
+  let n = 2000 in
+  Db.load db (List.init n (fun i -> (Printf.sprintf "acct-%03d" (100_000 + i), i)));
+  let rids = Hashtbl.create n in
+  Icdb_wal.Log.iter (Db.wal db) (fun _ -> function
+    | Icdb_wal.Log.Op { op = Insert { rid; key; _ }; _ } -> Hashtbl.replace rids key rid
+    | _ -> ());
+  Alcotest.(check int) "every row logged" n (Hashtbl.length rids);
+  for i = 0 to n - 1 do
+    let rid = Hashtbl.find rids (Printf.sprintf "acct-%03d" (100_000 + i)) in
+    if rid.page <> i / 163 || rid.slot <> i mod 163 then
+      Alcotest.failf "row %d at %a, expected (%d,%d)" i Icdb_storage.Heap.pp_rid rid (i / 163)
+        (i mod 163)
+  done
+
 (* --- checkpointing --- *)
 
 let test_checkpoint_truncates_and_recovers () =
@@ -1013,6 +1034,7 @@ let () =
         [
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "load and keys" `Quick test_load_and_keys;
+          Alcotest.test_case "load placement" `Quick test_load_placement;
           QCheck_alcotest.to_alcotest prop_abort_atomicity;
           QCheck_alcotest.to_alcotest prop_occ_oracle;
         ] );

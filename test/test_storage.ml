@@ -130,6 +130,128 @@ let test_page_live () =
   Alcotest.(check (list (pair int bytes_testable))) "only live" [ (s1, payload "b") ]
     (Page.live p)
 
+(* Reference model of a page: the directory as an array of optional
+   payloads, with live bytes recomputed by a full directory scan on every
+   query — the computation the page's cached count replaced. A record fits
+   when it and the directory entries it adds fit in what the header, the
+   directory and the live payloads leave free; compaction hides
+   fragmentation. *)
+module Page_model = struct
+  type t = { mutable dir : bytes option array }
+
+  let header = 12
+  let entry = 4
+  let create () = { dir = [||] }
+  let slot_count m = Array.length m.dir
+
+  let live_bytes m =
+    Array.fold_left
+      (fun acc e -> match e with Some p -> acc + Bytes.length p | None -> acc)
+      0 m.dir
+
+  let free_space m = Page.size - header - (entry * (slot_count m + 1)) - live_bytes m
+  let is_live m s = s >= 0 && s < slot_count m && Option.is_some m.dir.(s)
+
+  let fits m ~slot ~len =
+    let slots = max (slot_count m) (slot + 1) in
+    Page.size - header - (entry * slots) - live_bytes m >= len
+
+  let place m ~slot payload =
+    if slot >= slot_count m then
+      m.dir <- Array.init (slot + 1) (fun s -> if s < slot_count m then m.dir.(s) else None);
+    m.dir.(slot) <- Some payload
+
+  let insert m payload =
+    let slot = slot_count m in
+    if fits m ~slot ~len:(Bytes.length payload) then (place m ~slot payload; Some slot) else None
+
+  let insert_at m ~slot payload =
+    (not (is_live m slot))
+    && fits m ~slot ~len:(Bytes.length payload)
+    && (place m ~slot payload; true)
+
+  let update m ~slot payload =
+    if not (is_live m slot) then false
+    else begin
+      let old = m.dir.(slot) in
+      m.dir.(slot) <- None;
+      let ok = fits m ~slot ~len:(Bytes.length payload) in
+      m.dir.(slot) <- (if ok then Some payload else old);
+      ok
+    end
+
+  let delete m ~slot = is_live m slot && (m.dir.(slot) <- None; true)
+
+  let live m =
+    List.filter_map
+      (fun s -> Option.map (fun p -> (s, p)) m.dir.(s))
+      (List.init (slot_count m) Fun.id)
+end
+
+type page_op =
+  | Insert of int
+  | Insert_at of int * int  (* slot offset from the directory end, length *)
+  | Update of int * int  (* slot, length; 0 keeps the current length *)
+  | Delete of int
+  | Disk_round_trip
+
+let page_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun n -> Insert n) (int_range 1 400));
+        (2, map2 (fun d n -> Insert_at (d, n)) (int_range (-6) 3) (int_range 1 200));
+        (2, map2 (fun s n -> Update (s, n)) (int_range 0 40) (oneof [ pure 0; int_range 1 300 ]));
+        (3, map (fun s -> Delete s) (int_range 0 40));
+        (1, pure Disk_round_trip);
+      ])
+
+let pp_page_op = function
+  | Insert n -> Printf.sprintf "insert %d" n
+  | Insert_at (d, n) -> Printf.sprintf "insert_at end%+d %d" d n
+  | Update (s, n) -> Printf.sprintf "update %d %d" s n
+  | Delete s -> Printf.sprintf "delete %d" s
+  | Disk_round_trip -> "disk round trip"
+
+(* The cached live-byte count must track the full scan through inserts
+   (compacting after deletes), revivals of dead and past-the-end slots,
+   in-place and relocating updates, deletes, and the copies [Disk] keeps. *)
+let prop_page_model =
+  QCheck2.Test.make ~name:"page agrees with a directory-scan reference model" ~count:300
+    ~print:QCheck2.Print.(list pp_page_op)
+    QCheck2.Gen.(list_size (int_range 1 200) page_op_gen)
+    (fun ops ->
+      let d = Disk.create () in
+      let pid = Disk.allocate d in
+      let p = ref (Page.create ()) in
+      let m = Page_model.create () in
+      List.for_all
+        (fun (step, op) ->
+          let body n = Bytes.init n (fun i -> Char.chr ((step * 31 + i) land 0xff)) in
+          let agree =
+            match op with
+            | Insert n -> Page.insert !p ~payload:(body n) = Page_model.insert m (body n)
+            | Insert_at (delta, n) ->
+              let slot = max 0 (Page.slot_count !p + delta) in
+              Page.insert_at !p ~slot ~payload:(body n) = Page_model.insert_at m ~slot (body n)
+            | Update (slot, n) ->
+              let n =
+                if n > 0 then n
+                else match Page.read !p ~slot with Some b -> Bytes.length b | None -> 1
+              in
+              Page.update !p ~slot ~payload:(body n) = Page_model.update m ~slot (body n)
+            | Delete slot -> Page.delete !p ~slot = Page_model.delete m ~slot
+            | Disk_round_trip ->
+              Disk.write d pid !p;
+              p := Disk.read d pid;
+              true
+          in
+          agree
+          && Page.free_space !p = Page_model.free_space m
+          && Page.slot_count !p = Page_model.slot_count m
+          && Page.live !p = Page_model.live m)
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* --- Record --- *)
 
 let test_record_roundtrip () =
@@ -322,6 +444,29 @@ let test_heap_recover_scans_disk () =
       if key = Printf.sprintf "k%d" value then incr found);
   Alcotest.(check int) "keys consistent" 100 !found
 
+(* Regression: every failed fit used to mark the probed page dirty, so a
+   page fill re-dirtied every older page and the next flush wrote them all
+   back. Only the page that takes the record may become dirty. *)
+let test_heap_failed_fit_stays_clean () =
+  let d = Disk.create () in
+  let pool = Bp.create ~capacity:8 d in
+  let h = Heap.create d pool in
+  (* 11-byte keys: 21-byte records plus a 4-byte slot, 163 to a page. *)
+  let insert i =
+    Heap.insert h ~lsn:(Int64.of_int (i + 1)) ~key:(Printf.sprintf "acct-%06d" i) ~value:i
+  in
+  for i = 0 to (2 * 163) - 1 do
+    ignore (insert i)
+  done;
+  Alcotest.(check (list int)) "two full pages" [ 0; 1 ] (Heap.page_ids h);
+  Bp.flush_all pool;
+  let writes = Disk.write_count d in
+  let rid = insert (2 * 163) in
+  Alcotest.(check int) "third page allocated" 2 rid.Heap.page;
+  Alcotest.(check (list int)) "only the new page is dirty" [ 2 ] (Bp.dirty_pages pool);
+  Bp.flush_all pool;
+  Alcotest.(check int) "one write-back" (writes + 1) (Disk.write_count d)
+
 let test_heap_iter_order_stable () =
   let d = Disk.create () in
   let pool = Bp.create ~capacity:8 d in
@@ -423,6 +568,7 @@ let () =
           Alcotest.test_case "insert_at" `Quick test_page_insert_at;
           Alcotest.test_case "lsn" `Quick test_page_lsn;
           Alcotest.test_case "live listing" `Quick test_page_live;
+          QCheck_alcotest.to_alcotest prop_page_model;
         ] );
       ( "record",
         [
@@ -454,6 +600,8 @@ let () =
           Alcotest.test_case "insert_at restores rid" `Quick test_heap_insert_at_restores_rid;
           Alcotest.test_case "recover" `Quick test_heap_recover_scans_disk;
           Alcotest.test_case "iter order" `Quick test_heap_iter_order_stable;
+          Alcotest.test_case "failed fit leaves page clean" `Quick
+            test_heap_failed_fit_stays_clean;
           QCheck_alcotest.to_alcotest prop_heap_model;
         ] );
       ( "stress",

@@ -347,31 +347,48 @@ let test_btree_range () =
 module StrMap = Map.Make (String)
 
 (* Model-based property: a random op sequence applied to the tree and to a
-   Map agrees at every step, and the tree stays structurally valid. *)
+   Map agrees at every step, and the tree stays structurally valid. Keys are
+   variable-length with a shared prefix, so byte order and numeric order
+   disagree ([acct-999] > [acct-1000]) and some keys prefix others
+   ([acct-1] < [acct-10]); at least 2000 ops keep the tree three levels
+   deep, so internal-node search and splits are exercised. *)
 let prop_btree_model =
   QCheck2.Test.make ~name:"btree agrees with Map under random ops" ~count:60
-    QCheck2.Gen.(list_size (int_range 1 400) (pair (int_range 0 2) (int_range 0 60)))
+    QCheck2.Gen.(
+      list_size (int_range 2000 2500)
+        (triple (frequency [ (4, pure 0); (1, pure 1); (1, pure 2); (1, pure 3) ])
+           (int_range 0 2499) (int_range (-1) 2499)))
     (fun ops ->
       let t = Btree.create () in
       let model = ref StrMap.empty in
       let ok = ref true in
+      let key k = Printf.sprintf "acct-%d" k in
       List.iteri
-        (fun step (op, k) ->
-          let key = Printf.sprintf "k%02d" k in
-          (match op with
+        (fun step (op, k, k2) ->
+          match op with
           | 0 ->
-            Btree.insert t key step;
-            model := StrMap.add key step !model
+            Btree.insert t (key k) step;
+            model := StrMap.add (key k) step !model
           | 1 ->
-            let removed = Btree.remove t key in
-            let expected = StrMap.mem key !model in
+            let removed = Btree.remove t (key k) in
+            let expected = StrMap.mem (key k) !model in
             if removed <> expected then ok := false;
-            model := StrMap.remove key !model
+            model := StrMap.remove (key k) !model
+          | 2 -> if Btree.find t (key k) <> StrMap.find_opt (key k) !model then ok := false
           | _ ->
-            if Btree.find t key <> StrMap.find_opt key !model then ok := false))
+            let lo = if k mod 7 = 0 then None else Some (key k) in
+            let hi = if k2 < 0 then None else Some (key k2) in
+            let got = ref [] in
+            Btree.range t ~lo ~hi (fun key v -> got := (key, v) :: !got);
+            let within (key, _) =
+              Option.fold ~none:true ~some:(fun b -> key >= b) lo
+              && Option.fold ~none:true ~some:(fun b -> key <= b) hi
+            in
+            if List.rev !got <> List.filter within (StrMap.bindings !model) then ok := false)
         ops;
       Btree.invariant_check t;
       !ok
+      && Btree.height t >= 3
       && Btree.size t = StrMap.cardinal !model
       && Btree.to_list t = StrMap.bindings !model)
 
