@@ -15,20 +15,32 @@ type event = {
   key : int; (* order-preserving bit encoding of the fire time *)
   seq : int; (* tie-breaker: FIFO among same-time events *)
   thunk : unit -> unit;
-  mutable cancelled : bool;
-  (* intrusive chain for calendar buckets and the overflow list: a day
-     bucket is just a head pointer, so inserting far-future events touches
-     one cold cache line (the head slot) instead of a bucket record plus a
-     growable array. [dummy] is the nil sentinel; events in the heap keep
-     [next = dummy] so dead events are never pinned through stale links. *)
+  mutable cancelled : bool; (* also set when the event fires: dead either way *)
+  (* intrusive chain for the same-instant lane, calendar buckets and the
+     overflow list: a day bucket is just a head pointer, so inserting
+     far-future events touches one cold cache line (the head slot) instead
+     of a bucket record plus a growable array. [dummy] is the nil sentinel;
+     events in the heap keep [next = dummy] so dead events are never pinned
+     through stale links. *)
   mutable next : event;
 }
 
 type event_id = event
 
-(* Hybrid calendar queue.
+(* Same-instant lane plus hybrid calendar queue.
 
-   Two regimes share one API:
+   An event whose encoded fire time equals the current clock (a fiber's
+   resume hop, a [spawn], any zero delay) goes to the [lane]: a FIFO
+   chained through [next], pushed at the tail and popped at the head, with
+   no comparisons. Such an event was scheduled at [now], so its [seq] is
+   larger than that of every event already queued for [now] — those were
+   scheduled before the clock reached [now]. Hence the lane is in
+   ([time], [seq]) order, every heap or calendar event at [now] precedes
+   it, and [peek] takes from the heap while the heap's minimum is at [now]
+   and from the lane otherwise: pop order is the exact order of a single
+   heap.
+
+   Everything else lives in one of two regimes sharing one API:
 
    - Below [threshold] pending events the engine is exactly the binary
      min-heap it has always been: every event lives in [heap], ordered by
@@ -85,6 +97,10 @@ type t = {
   mutable owner : int; (* partition id within a couple; 0 when alone *)
   mutable couple : couple option;
   mutable live : int; (* pending minus cancelled *)
+  (* same-instant lane: FIFO of events at the current clock *)
+  mutable lane_head : event; (* [dummy] when empty *)
+  mutable lane_tail : event; (* [dummy] when empty *)
+  mutable lane_count : int; (* events in the lane (incl. cancelled) *)
   mutable executed : int;
   mutable observer : unit -> unit; (* called once per executed event *)
   threshold : int;
@@ -114,6 +130,9 @@ let create ?(threshold = 16384) () =
     owner = 0;
     couple = None;
     live = 0;
+    lane_head = dummy;
+    lane_tail = dummy;
+    lane_count = 0;
     executed = 0;
     observer = (fun () -> ());
     threshold = max 64 threshold;
@@ -147,7 +166,7 @@ let set_current c i = c.current <- i
 let set_on_cross c f = c.on_cross <- f
 let pending t = t.live
 let executed t = t.executed
-let stored t = t.size + t.cal_count + t.ov_count
+let stored t = t.size + t.lane_count + t.cal_count + t.ov_count
 let calendar_active t = t.cal_on
 
 let earlier a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
@@ -368,8 +387,23 @@ let activate t =
   t.cal_on <- true;
   rebuild t
 
-let insert t ev =
-  if (not t.cal_on) || ev.key < t.frontier then begin
+(* The lane's two ends; [dummy] links nothing, so it is never written. *)
+let lane_push t ev =
+  if t.lane_tail == dummy then t.lane_head <- ev else t.lane_tail.next <- ev;
+  t.lane_tail <- ev;
+  t.lane_count <- t.lane_count + 1
+
+let lane_pop t =
+  let ev = t.lane_head in
+  t.lane_head <- ev.next;
+  if ev == t.lane_tail then t.lane_tail <- dummy;
+  ev.next <- dummy;
+  t.lane_count <- t.lane_count - 1
+
+(* [now] is the clock the event's time was computed from. *)
+let insert t ev now =
+  if ev.key = encode now then lane_push t ev
+  else if (not t.cal_on) || ev.key < t.frontier then begin
     heap_push t ev;
     if (not t.cal_on) && t.cal_ok && t.size >= t.threshold then activate t
   end
@@ -389,7 +423,7 @@ let schedule t ~delay thunk =
       }
     in
     t.next_seq <- t.next_seq + 1;
-    insert t ev;
+    insert t ev t.now;
     t.live <- t.live + 1;
     ev
   | Some c ->
@@ -407,7 +441,7 @@ let schedule t ~delay thunk =
       }
     in
     c.gseq <- c.gseq + 1;
-    insert t ev;
+    insert t ev c.gnow;
     t.live <- t.live + 1;
     if t.owner <> c.current then c.on_cross t.owner ev.key ev.seq;
     ev
@@ -453,6 +487,17 @@ let compact t =
     sift_down t i
   done;
   maybe_shrink t;
+  (* relink the lane's survivors in their FIFO order *)
+  let p = ref t.lane_head in
+  t.lane_head <- dummy;
+  t.lane_tail <- dummy;
+  t.lane_count <- 0;
+  while !p != dummy do
+    let ev = !p in
+    p := ev.next;
+    ev.next <- dummy;
+    if not ev.cancelled then lane_push t ev
+  done;
   if t.cal_on then begin
     let cnt = ref 0 in
     for i = t.cur to Array.length t.buckets - 1 do
@@ -473,42 +518,70 @@ let cancel t ev =
     if stored t > (2 * t.live) + 64 then compact t
   end
 
-(* Pops cancelled events lazily; returns the next live event if any. *)
-let rec next_live t =
-  if t.size = 0 && t.cal_on then advance t;
-  if t.size = 0 then None
-  else
-    let ev = pop t in
-    if ev.cancelled then next_live t else Some ev
-
-(* Non-destructive peek at the next live event's (key, seq): pops cancelled
-   events and advances the calendar as needed, but leaves the live minimum
-   in place — any later [insert] still lands correctly. The parallel
-   scheduler compares these pairs across partitions to bound windows. *)
-let rec head t =
-  if t.size = 0 && t.cal_on then advance t;
-  if t.size = 0 then None
-  else begin
-    let ev = t.heap.(0) in
-    if ev.cancelled then begin
-      ignore (pop t);
-      head t
-    end
-    else Some (ev.key, ev.seq)
+(* The next live event, left in place; [dummy] when drained. Drops dead
+   heads and advances the calendar as needed, so any later [insert] still
+   lands correctly. The heap's minimum goes before the lane while it is at
+   the lane's instant (the heap never holds an earlier key). With the heap
+   empty, a calendar whose frontier is not past the lane's instant may
+   hold events at that instant too, so it advances first: activation moves
+   them out of the heap, and a coupled engine's clock moves on while its
+   own queue idles. The parallel scheduler compares [head] pairs across
+   partitions to bound windows. *)
+let rec peek t =
+  let l = t.lane_head in
+  if l == dummy then begin
+    if t.size = 0 && t.cal_on then advance t;
+    if t.size = 0 then dummy
+    else
+      let h = t.heap.(0) in
+      if h.cancelled then begin
+        ignore (pop t);
+        peek t
+      end
+      else h
   end
+  else if l.cancelled then begin
+    lane_pop t;
+    peek t
+  end
+  else if t.size = 0 then
+    if t.cal_on && t.frontier <= l.key then begin
+      advance t;
+      peek t
+    end
+    else l
+  else
+    let h = t.heap.(0) in
+    if h.key > l.key then l
+    else if h.cancelled then begin
+      ignore (pop t);
+      peek t
+    end
+    else h
+
+let head t =
+  let ev = peek t in
+  if ev == dummy then None else Some (ev.key, ev.seq)
+
+(* Remove [ev], the event [peek] just returned, and run it. *)
+let fire t ev =
+  if ev == t.lane_head then lane_pop t else ignore (pop t);
+  ev.cancelled <- true;
+  let tm = decode ev.key in
+  t.now <- tm;
+  (match t.couple with Some c -> c.gnow <- tm | None -> ());
+  t.live <- t.live - 1;
+  t.executed <- t.executed + 1;
+  t.observer ();
+  ev.thunk ()
 
 let step t =
-  match next_live t with
-  | None -> false
-  | Some ev ->
-    let tm = decode ev.key in
-    t.now <- tm;
-    (match t.couple with Some c -> c.gnow <- tm | None -> ());
-    t.live <- t.live - 1;
-    t.executed <- t.executed + 1;
-    t.observer ();
-    ev.thunk ();
+  let ev = peek t in
+  if ev == dummy then false
+  else begin
+    fire t ev;
     true
+  end
 
 let run t =
   while step t do
@@ -521,22 +594,7 @@ let run_until t horizon =
   if t.couple <> None then invalid_arg "Engine.run_until: engine is coupled";
   let continue = ref true in
   while !continue do
-    match next_live t with
-    | None -> continue := false
-    | Some ev ->
-      let tm = decode ev.key in
-      if tm > horizon then begin
-        (* Put it back: not yet due. It came out of the heap, so its time
-           is below the frontier and it goes straight back in. *)
-        heap_push t ev;
-        continue := false
-      end
-      else begin
-        t.now <- tm;
-        t.live <- t.live - 1;
-        t.executed <- t.executed + 1;
-        t.observer ();
-        ev.thunk ()
-      end
+    let ev = peek t in
+    if ev == dummy || decode ev.key > horizon then continue := false else fire t ev
   done;
   if t.now < horizon then t.now <- horizon

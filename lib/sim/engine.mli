@@ -5,14 +5,24 @@
     together with the explicit {!Icdb_util.Rng} streams — makes every run of
     the federation bit-for-bit reproducible.
 
-    The queue is a hybrid calendar queue: below an activation threshold it
-    is a plain binary min-heap (the exact fallback — seed-scale runs never
-    leave it); past the threshold the far future spills into day-width
-    buckets auto-tuned from the observed inter-event gap, keeping
-    enqueue/dequeue O(1) amortized at millions of pending events. Both
-    regimes pop in the same strict ([time], [seq]) total order, so the
-    switch is invisible to the simulation — see {!Engine_ref} for the
-    reference heap the equivalence tests compare against.
+    Pending events live in three stores. An event whose fire time equals
+    the current clock (a zero delay: every fiber resume and spawn) goes to
+    the {e same-instant lane}, a FIFO with O(1) push and pop and no
+    comparisons. Every other event goes to a hybrid calendar queue: below
+    an activation threshold (counted on the heap alone) it is a plain
+    binary min-heap (the exact fallback — seed-scale runs never leave it);
+    past the threshold the far future spills into day-width buckets
+    auto-tuned from the observed inter-event gap, keeping enqueue/dequeue
+    O(1) amortized at millions of pending events.
+
+    Pop order is the strict ([time], [seq]) total order of a single heap.
+    An event scheduled at the current instant has a larger [seq] than any
+    event already due then (those were scheduled before the clock got
+    there), so the lane is in order, and the heap's or calendar's events
+    at the current instant pop before the lane's. Both calendar regimes
+    pop in the same order too, so neither the lane nor the switch is
+    visible to the simulation — see {!Engine_ref} for the reference heap
+    the equivalence tests compare against.
 
     Time is a dimensionless [float]; the experiments interpret one unit as
     "one millisecond" but nothing depends on that. *)
@@ -54,9 +64,9 @@ val run_until : t -> float -> unit
 (** Number of pending (non-cancelled) events. *)
 val pending : t -> int
 
-(** Number of events physically retained, cancelled ones included. Always
-    [>= pending]; the fault campaign asserts both reach zero after a
-    drain. *)
+(** Number of events physically retained in the lane, the heap and the
+    calendar, cancelled ones included. Always [>= pending]; the fault
+    campaign asserts both reach zero after a drain. *)
 val stored : t -> int
 
 (** Events executed since creation. *)

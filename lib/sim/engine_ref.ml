@@ -2,7 +2,7 @@ type event = {
   time : float;
   seq : int; (* tie-breaker: FIFO among same-time events *)
   thunk : unit -> unit;
-  mutable cancelled : bool;
+  mutable cancelled : bool; (* also set when the event fires: dead either way *)
 }
 
 type event_id = event
@@ -126,6 +126,7 @@ let step t =
   match next_live t with
   | None -> false
   | Some ev ->
+    ev.cancelled <- true;
     t.now <- ev.time;
     t.live <- t.live - 1;
     t.observer ();
@@ -149,6 +150,7 @@ let run_until t horizon =
         continue := false
       end
       else begin
+        ev.cancelled <- true;
         t.now <- ev.time;
         t.live <- t.live - 1;
         t.observer ();

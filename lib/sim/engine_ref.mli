@@ -1,11 +1,12 @@
 (** Reference binary-heap event queue.
 
-    A verbatim copy of the pre-calendar {!Engine} implementation, kept as an
-    executable specification: the QCheck2 equivalence property drives this
-    and the calendar queue through identical push/pop/cancel/clock-advance
-    interleavings and demands identical pop order, and the bench scheduler
-    kernel measures both so BENCH.json records the heap baseline the
-    calendar is compared against. Not used by the simulation itself. *)
+    The pre-calendar {!Engine} implementation, one binary heap with no
+    calendar and no same-instant lane, kept as an executable specification:
+    the QCheck2 equivalence properties drive this and {!Engine} through
+    identical push/pop/cancel/clock-advance interleavings and demand
+    identical pop order, and the bench scheduler kernel measures both so
+    BENCH.json records the heap baseline the calendar is compared against.
+    Not used by the simulation itself. *)
 
 type t
 type event_id

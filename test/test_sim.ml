@@ -1,6 +1,7 @@
 (* Tests for Icdb_sim: event engine, fibers, ivars, mailboxes, traces. *)
 
 module Engine = Icdb_sim.Engine
+module Engine_ref = Icdb_sim.Engine_ref
 module Fiber = Icdb_sim.Fiber
 module Trace = Icdb_sim.Trace
 
@@ -72,9 +73,63 @@ let test_engine_step () =
   Alcotest.(check bool) "second step" true (Engine.step eng);
   Alcotest.(check bool) "exhausted" false (Engine.step eng)
 
+(* Cancelling an event that already fired is a no-op: it must not count
+   against the pending total. *)
+let test_engine_cancel_after_fire () =
+  let eng = Engine.create () in
+  let first = Engine.schedule eng ~delay:1.0 (fun () -> ()) in
+  ignore (Engine.schedule eng ~delay:2.0 (fun () -> ()));
+  ignore (Engine.step eng);
+  Engine.cancel eng first;
+  Alcotest.(check int) "second still pending" 1 (Engine.pending eng);
+  Engine.run eng;
+  Alcotest.(check int) "pending after drain" 0 (Engine.pending eng);
+  Alcotest.(check int) "stored after drain" 0 (Engine.stored eng);
+  let r = Engine_ref.create () in
+  let first = Engine_ref.schedule r ~delay:1.0 (fun () -> ()) in
+  ignore (Engine_ref.schedule r ~delay:2.0 (fun () -> ()));
+  ignore (Engine_ref.step r);
+  Engine_ref.cancel r first;
+  Engine_ref.run r;
+  Alcotest.(check int) "reference pending after drain" 0 (Engine_ref.pending r)
+
+(* An event that was scheduled earlier and lands at t precedes a
+   zero-delay event scheduled at t, even though the latter goes to the
+   same-instant lane and the former sits in the heap. *)
+let test_engine_lane_after_heap () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let note s = seen := s :: !seen in
+  ignore
+    (Engine.schedule eng ~delay:2.0 (fun () ->
+         note "p";
+         ignore (Engine.schedule eng ~delay:0.0 (fun () -> note "z"))));
+  ignore (Engine.schedule eng ~delay:2.0 (fun () -> note "q"));
+  Engine.run eng;
+  Alcotest.(check (list string)) "heap event at t first" [ "p"; "q"; "z" ] (List.rev !seen)
+
+(* Activation moves every heap event out to the calendar, including one
+   due at the current instant; a zero-delay event already in the lane must
+   still wait for it. *)
+let test_engine_lane_after_activation () =
+  let eng = Engine.create ~threshold:64 () in
+  let seen = ref [] in
+  let note s = seen := s :: !seen in
+  ignore
+    (Engine.schedule eng ~delay:1.0 (fun () ->
+         note "a";
+         ignore (Engine.schedule eng ~delay:0.0 (fun () -> note "z"));
+         for i = 1 to 70 do
+           ignore (Engine.schedule eng ~delay:(float_of_int i) (fun () -> ()))
+         done));
+  ignore (Engine.schedule eng ~delay:1.0 (fun () -> note "b"));
+  ignore (Engine.step eng);
+  Alcotest.(check bool) "calendar activated" true (Engine.calendar_active eng);
+  Engine.run eng;
+  Alcotest.(check (list string)) "calendar event at t first" [ "a"; "b"; "z" ] (List.rev !seen)
+
 (* --- Calendar queue vs reference heap --- *)
 
-module Engine_ref = Icdb_sim.Engine_ref
 module Rng = Icdb_util.Rng
 
 (* Random interleavings of push / pop / cancel / clock-advance, replayed
@@ -103,9 +158,10 @@ let prop_calendar_equals_heap =
       let ids_e = ref [] and ids_r = ref [] in
       let n_ids = ref 0 in
       let pushes = ref 0 in
+      let nonneg = ref true in
       List.iter
         (fun op ->
-          match op with
+          (match op with
           | QPush d ->
             let delay = float_of_int d *. 0.5 in
             let k = !pushes in
@@ -130,13 +186,126 @@ let prop_calendar_equals_heap =
           | QAdvance h ->
             let horizon = Engine.now e +. (float_of_int h *. 0.5) in
             Engine.run_until e horizon;
-            Engine_ref.run_until r horizon)
+            Engine_ref.run_until r horizon);
+          if Engine.pending e < 0 then nonneg := false)
         ops;
       Engine.run e;
       Engine_ref.run r;
-      !seen_e = !seen_r
+      !nonneg
+      && !seen_e = !seen_r
       && Engine.pending e = Engine_ref.pending r
       && Engine.stored e = 0)
+
+(* Events that schedule and cancel events themselves, the way fibers do:
+   every fired event looks up its entry in a generated script, schedules
+   its children (zero delay more often than not, so the same-instant lane
+   is busy) and cancels an earlier event, pending or not. Top-level ops
+   interleave pushes, steps, cancels and [run_until]. Threshold 64 keeps
+   the calendar active next to the lane; the execution log and the
+   pending count after every op must match the reference heap's. *)
+type 'id sim = {
+  schedule : float -> (unit -> unit) -> 'id;
+  cancel : 'id -> unit;
+  step : unit -> unit;
+  run_until : float -> unit;
+  run : unit -> unit;
+  now : unit -> float;
+  pending : unit -> int;
+}
+
+let replay (sim : 'id sim) (script : (int list * int) array) ops =
+  let log = ref [] and pendings = ref [] in
+  let ids = Hashtbl.create 256 in
+  let pushes = ref 0 in
+  let rec push d =
+    if !pushes < 3000 then begin
+      let k = !pushes in
+      incr pushes;
+      Hashtbl.replace ids k (sim.schedule (float_of_int d *. 0.5) (fun () -> fire k))
+    end
+  and fire k =
+    log := (sim.now (), k) :: !log;
+    let children, victim = script.(k mod Array.length script) in
+    List.iter push children;
+    cancel victim
+  and cancel i = if !pushes > 0 then sim.cancel (Hashtbl.find ids (i mod !pushes)) in
+  List.iter
+    (fun op ->
+      (match op with
+      | QPush d -> push d
+      | QPop -> sim.step ()
+      | QCancel i -> cancel i
+      | QAdvance h -> sim.run_until (sim.now () +. (float_of_int h *. 0.5)));
+      pendings := sim.pending () :: !pendings)
+    ops;
+  sim.run ();
+  (!log, !pendings, sim.pending ())
+
+let prop_lane_equals_heap =
+  QCheck2.Test.make ~name:"same-instant lane = reference heap pop order" ~count:300
+    QCheck2.Gen.(
+      let delay = frequency [ (3, return 0); (2, int_range 1 40) ] in
+      pair
+        (array_size (int_range 1 32)
+           (pair (list_size (int_range 0 2) delay) (int_range 0 10_000)))
+        (list_size (int_range 0 400)
+           (frequency
+              [
+                (5, map (fun d -> QPush d) delay);
+                (2, return QPop);
+                (1, map (fun i -> QCancel i) (int_range 0 10_000));
+                (1, map (fun h -> QAdvance h) (int_range 0 60));
+              ])))
+    (fun (script, ops) ->
+      let e = Engine.create ~threshold:64 () in
+      let r = Engine_ref.create () in
+      let got =
+        replay
+          {
+            schedule = (fun delay f -> Engine.schedule e ~delay f);
+            cancel = Engine.cancel e;
+            step = (fun () -> ignore (Engine.step e));
+            run_until = Engine.run_until e;
+            run = (fun () -> Engine.run e);
+            now = (fun () -> Engine.now e);
+            pending = (fun () -> Engine.pending e);
+          }
+          script ops
+      in
+      let want =
+        replay
+          {
+            schedule = (fun delay f -> Engine_ref.schedule r ~delay f);
+            cancel = Engine_ref.cancel r;
+            step = (fun () -> ignore (Engine_ref.step r));
+            run_until = Engine_ref.run_until r;
+            run = (fun () -> Engine_ref.run r);
+            now = (fun () -> Engine_ref.now r);
+            pending = (fun () -> Engine_ref.pending r);
+          }
+          script ops
+      in
+      let _, pendings, _ = got in
+      got = want && List.for_all (fun n -> n >= 0) pendings && Engine.stored e = 0)
+
+(* Cancelling three in four of a burst of zero-delay events compacts the
+   lane exactly once (an even number of order-reversing sweeps would hide
+   a reversal); the survivors must still fire in scheduling order. *)
+let test_engine_lane_compaction () =
+  let eng = Engine.create () in
+  let n = 1_000 in
+  let fired = ref [] in
+  let ids = Array.init n (fun i -> Engine.schedule eng ~delay:0.0 (fun () -> fired := i :: !fired)) in
+  Array.iteri (fun i id -> if i mod 4 <> 0 then Engine.cancel eng id) ids;
+  let live = Engine.pending eng in
+  Alcotest.(check int) "live after cancels" (n / 4) live;
+  Alcotest.(check bool)
+    (Printf.sprintf "compacted (stored %d <= 2*live + 64)" (Engine.stored eng))
+    true
+    (Engine.stored eng <= (2 * live) + 64);
+  Engine.run eng;
+  Alcotest.(check (list int)) "FIFO survivors" (List.init (n / 4) (fun i -> i * 4)) (List.rev !fired);
+  Alcotest.(check int) "stored drained" 0 (Engine.stored eng)
 
 (* Deep calendar exercise: tens of thousands of pending events with skewed
    delays, well past the activation threshold, must drain in exact
@@ -416,12 +585,18 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "step" `Quick test_engine_step;
+          Alcotest.test_case "cancel after fire" `Quick test_engine_cancel_after_fire;
+          Alcotest.test_case "lane after heap at same instant" `Quick test_engine_lane_after_heap;
+          Alcotest.test_case "lane after calendar at same instant" `Quick
+            test_engine_lane_after_activation;
         ] );
       ( "calendar",
         [
           QCheck_alcotest.to_alcotest prop_calendar_equals_heap;
+          QCheck_alcotest.to_alcotest prop_lane_equals_heap;
           Alcotest.test_case "20k-event drain order" `Quick test_engine_calendar_scale;
           Alcotest.test_case "cancel compaction" `Quick test_engine_cancel_compaction;
+          Alcotest.test_case "lane compaction keeps FIFO" `Quick test_engine_lane_compaction;
           Alcotest.test_case "resize hook" `Quick test_engine_resize_hook;
         ] );
       ( "fiber",
