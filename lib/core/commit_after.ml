@@ -21,7 +21,7 @@ let redo_until_committed (fed : Federation.t) ~gid ~obs (b : Global.branch) =
            ~compensation:false
            ~on_attempt:(fun () ->
              Metrics.repetition fed.metrics;
-             Trace.record fed.trace ~actor:b.site (ev gid "redo-execution"))
+             Trace.record_gid fed.trace ~actor:b.site ~gid "redo-execution")
            b.program))
 
 let run (fed : Federation.t) (spec : Global.spec) =
@@ -33,7 +33,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     ~gid ~protocol:"after";
   let obs = obs_begin fed ~gid ~protocol:"after" in
   let coord = coordinator_actor obs in
-  Trace.record fed.trace ~actor:coord (ev gid "running");
+  Trace.record_gid fed.trace ~actor:coord ~gid "running";
   if not (acquire_global_locks fed ~gid spec) then begin
     Federation.journal_close fed ~gid;
     finish fed ~gid ~start ~obs (Aborted Global_cc_denied)
@@ -59,7 +59,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     in
     fed.central_fail ~gid "executed";
     (* The inquiry: communication managers answer from the running state. *)
-    Trace.record fed.trace ~actor:coord (ev gid "inquire");
+    Trace.record_gid fed.trace ~actor:coord ~gid "inquire";
     let votes =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
       fanout fed
@@ -84,7 +84,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                         transaction is still alive. It may yet die. *)
                      match Db.state txn with
                      | `Running ->
-                       Trace.record fed.trace ~actor:b.site (ev gid "ready");
+                       Trace.record_gid fed.trace ~actor:b.site ~gid "ready";
                        ("ready", (b, Ready txn))
                      | `Aborted r ->
                        ( "abort-vote",
@@ -99,8 +99,8 @@ let run (fed : Federation.t) (spec : Global.spec) =
     in
     fed.central_fail ~gid "voted";
     let decide_commit = Option.is_none abort_cause in
-    Trace.record fed.trace ~actor:coord
-      (ev gid (if decide_commit then "decision:commit" else "decision:abort"));
+    Trace.record_gid fed.trace ~actor:coord ~gid
+      (if decide_commit then "decision:commit" else "decision:abort");
     Federation.journal_decide fed ~gid ~commit:decide_commit;
     obs_decision fed obs ~gid ~commit:decide_commit;
     fed.central_fail ~gid "decided";
@@ -126,15 +126,13 @@ let run (fed : Federation.t) (spec : Global.spec) =
                                   (* Erroneous abort after the ready answer: the
                                      §3.2 repair — repetition from the redo-log. *)
                                   redo_until_committed fed ~gid ~obs b);
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "committed");
+                                Trace.record_gid fed.trace ~actor:b.site ~gid "committed";
                                 "finished")
                           else
                             decision_rpc fed ~gid ~site:b.site ~label:"abort"
                               (fun () ->
                                 Db.abort db txn;
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "aborted");
+                                Trace.record_gid fed.trace ~actor:b.site ~gid "aborted";
                                 "finished") )
                   | _, No _ -> None)
                 votes)));

@@ -28,7 +28,7 @@ let undo_until_done (fed : Federation.t) ~gid ~obs (b : Global.branch) =
            ~compensation:true
            ~on_attempt:(fun () ->
              Metrics.compensation fed.metrics;
-             Trace.record fed.trace ~actor:b.site (ev gid "undo-execution"))
+             Trace.record_gid fed.trace ~actor:b.site ~gid "undo-execution")
            inverse))
 
 let run (fed : Federation.t) (spec : Global.spec) =
@@ -40,7 +40,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     ~gid ~protocol:"before";
   let obs = obs_begin fed ~gid ~protocol:"before" in
   let coord = coordinator_actor obs in
-  Trace.record fed.trace ~actor:coord (ev gid "running");
+  Trace.record_gid fed.trace ~actor:coord ~gid "running";
   if not (acquire_global_locks fed ~gid spec) then begin
     Federation.journal_close fed ~gid;
     finish fed ~gid ~start ~obs (Aborted Global_cc_denied)
@@ -94,7 +94,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                        match Db.commit db txn with
                        | Ok () ->
                          graph_local fed ~gid ~site:b.site ~compensation:false txn;
-                         Trace.record fed.trace ~actor:b.site (ev gid "locally-committed");
+                         Trace.record_gid fed.trace ~actor:b.site ~gid "locally-committed";
                          ("executed-committed", (b, Locally_committed))
                        | Error r ->
                          ( "execute-failed",
@@ -108,7 +108,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     fed.central_fail ~gid "executed";
     (* The inquiry: ask every site for the final state of its local. A
        crashed site answers after recovery. *)
-    Trace.record fed.trace ~actor:coord (ev gid "inquire");
+    Trace.record_gid fed.trace ~actor:coord ~gid "inquire";
     let states =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
       fanout fed
@@ -132,8 +132,8 @@ let run (fed : Federation.t) (spec : Global.spec) =
     in
     fed.central_fail ~gid "voted";
     let decide_commit = Option.is_none abort_cause in
-    Trace.record fed.trace ~actor:coord
-      (ev gid (if decide_commit then "decision:commit" else "decision:abort"));
+    Trace.record_gid fed.trace ~actor:coord ~gid
+      (if decide_commit then "decision:commit" else "decision:abort");
     Federation.journal_decide fed ~gid ~commit:decide_commit;
     obs_decision fed obs ~gid ~commit:decide_commit;
     fed.central_fail ~gid "decided";
@@ -149,7 +149,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                       fun () ->
                         decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
                             undo_until_done fed ~gid ~obs b;
-                            Trace.record fed.trace ~actor:b.site (ev gid "undone");
+                            Trace.record_gid fed.trace ~actor:b.site ~gid "undone";
                             "finished") )
                 | _, Locally_aborted _ -> None)
               states));

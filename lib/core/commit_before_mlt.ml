@@ -18,7 +18,7 @@ let undo_action (fed : Federation.t) ~gid ~obs ~seq (action : Action.t) =
            ~marker:(undo_marker ~gid ~seq) ~compensation:true
            ~on_attempt:(fun () ->
              Metrics.compensation fed.metrics;
-             Trace.record fed.trace ~actor:action.Action.site (ev gid "inverse-action"))
+             Trace.record_gid fed.trace ~actor:action.Action.site ~gid "inverse-action")
            action.Action.inverse))
 
 (* Per-action commit marker: lets site and central recovery see which
@@ -50,7 +50,7 @@ let execute_action (fed : Federation.t) ~gid ~seq (action : Action.t) =
           match Db.commit db txn with
           | Ok () ->
             graph_local fed ~gid ~site:action.site ~compensation:false txn;
-            Trace.record fed.trace ~actor:action.site (ev gid ("done:" ^ action.name));
+            Trace.record_gid fed.trace ~actor:action.site ~gid ("done:" ^ action.name);
             ("action-done", Ok ())
           | Error r ->
             ( "action-failed",
@@ -65,7 +65,7 @@ let run ?(action_retries = 0) (fed : Federation.t) (spec : Global.mlt_spec) =
     ~gid ~protocol:"mlt";
   let obs = obs_begin fed ~gid ~protocol:"mlt" in
   let coord = coordinator_actor obs in
-  Trace.record fed.trace ~actor:coord (ev gid "running");
+  Trace.record_gid fed.trace ~actor:coord ~gid "running";
   let completed = ref [] in
   (* L1 actions run in program order; each one is an L0 transaction that
      commits before the global decision exists. *)
@@ -99,7 +99,7 @@ let run ?(action_retries = 0) (fed : Federation.t) (spec : Global.mlt_spec) =
             | Error cause ->
               if tries_left > 0 then begin
                 Metrics.repetition fed.metrics;
-                Trace.record fed.trace ~actor:action.Action.site (ev gid "action-retry");
+                Trace.record_gid fed.trace ~actor:action.Action.site ~gid "action-retry";
                 Site.await_up (Federation.site fed action.Action.site);
                 attempt (tries_left - 1)
               end
@@ -112,13 +112,13 @@ let run ?(action_retries = 0) (fed : Federation.t) (spec : Global.mlt_spec) =
   let outcome =
     match result with
     | Ok () ->
-      Trace.record fed.trace ~actor:coord (ev gid "decision:commit");
+      Trace.record_gid fed.trace ~actor:coord ~gid "decision:commit";
       Federation.journal_decide fed ~gid ~commit:true;
       obs_decision fed obs ~gid ~commit:true;
       fed.central_fail ~gid "decided";
       Global.Committed
     | Error cause ->
-      Trace.record fed.trace ~actor:coord (ev gid "decision:abort");
+      Trace.record_gid fed.trace ~actor:coord ~gid "decision:abort";
       Federation.journal_decide fed ~gid ~commit:false;
       obs_decision fed obs ~gid ~commit:false;
       fed.central_fail ~gid "decided";

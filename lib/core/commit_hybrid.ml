@@ -34,7 +34,7 @@ let undo_leg (fed : Federation.t) ~gid ~obs (b : Global.branch) =
            ~compensation:true
            ~on_attempt:(fun () ->
              Metrics.compensation fed.metrics;
-             Trace.record fed.trace ~actor:b.site (ev gid "undo-execution"))
+             Trace.record_gid fed.trace ~actor:b.site ~gid "undo-execution")
            inverse))
 
 let run (fed : Federation.t) (spec : Global.spec) =
@@ -46,7 +46,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     ~gid ~protocol:"hybrid";
   let obs = obs_begin fed ~gid ~protocol:"hybrid" in
   let coord = coordinator_actor obs in
-  Trace.record fed.trace ~actor:coord (ev gid "running");
+  Trace.record_gid fed.trace ~actor:coord ~gid "running";
   if not (acquire_global_locks fed ~gid spec) then begin
     Federation.journal_close fed ~gid;
     finish fed ~gid ~start ~obs (Aborted Global_cc_denied)
@@ -101,8 +101,8 @@ let run (fed : Federation.t) (spec : Global.spec) =
                               match Db.commit db txn with
                               | Ok () ->
                                 graph_local fed ~gid ~site:b.site ~compensation:false txn;
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "locally-committed");
+                                Trace.record_gid fed.trace ~actor:b.site ~gid
+                                  "locally-committed";
                                 ("executed-committed", Committed_leg)
                               | Error r ->
                                 ( "execute-failed",
@@ -114,7 +114,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     in
     fed.central_fail ~gid "executed";
     (* Inquiry: prepare the 2PC legs; ask the others for their final state. *)
-    Trace.record fed.trace ~actor:coord (ev gid "inquire");
+    Trace.record_gid fed.trace ~actor:coord ~gid "inquire";
     let legs =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
       fanout fed
@@ -138,7 +138,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                    else
                      match Db.prepare db txn with
                      | Ok () ->
-                       Trace.record fed.trace ~actor:b.site (ev gid "ready");
+                       Trace.record_gid fed.trace ~actor:b.site ~gid "ready";
                        ("ready", (b, Prepared_leg txn))
                      | Error r ->
                        ( "abort-vote",
@@ -162,8 +162,8 @@ let run (fed : Federation.t) (spec : Global.spec) =
     in
     fed.central_fail ~gid "voted";
     let decide_commit = Option.is_none abort_cause in
-    Trace.record fed.trace ~actor:coord
-      (ev gid (if decide_commit then "decision:commit" else "decision:abort"));
+    Trace.record_gid fed.trace ~actor:coord ~gid
+      (if decide_commit then "decision:commit" else "decision:abort");
     Federation.journal_decide fed ~gid ~commit:decide_commit;
     obs_decision fed obs ~gid ~commit:decide_commit;
     fed.central_fail ~gid "decided";
@@ -185,12 +185,10 @@ let run (fed : Federation.t) (spec : Global.spec) =
                               if decide_commit then begin
                                 graph_local fed ~gid ~site:b.site ~compensation:false
                                   txn;
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "committed")
+                                Trace.record_gid fed.trace ~actor:b.site ~gid "committed"
                               end
                               else
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "aborted");
+                                Trace.record_gid fed.trace ~actor:b.site ~gid "aborted";
                               "finished") )
                   | b, Committed_leg when not decide_commit ->
                     Some
@@ -198,7 +196,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                         fun () ->
                           decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
                               undo_leg fed ~gid ~obs b;
-                              Trace.record fed.trace ~actor:b.site (ev gid "undone");
+                              Trace.record_gid fed.trace ~actor:b.site ~gid "undone";
                               "finished") )
                   | _, (Committed_leg | Failed_leg _) -> None)
                 legs)));

@@ -13,6 +13,7 @@ module Registry = Icdb_obs.Registry
 module Tracer = Icdb_obs.Tracer
 module Span = Icdb_obs.Span
 module Symbol = Icdb_util.Symbol
+module Strtbl = Icdb_util.Strtbl
 
 type journal_phase = Executing | Decided of bool
 
@@ -60,7 +61,7 @@ type t = {
       (* distinct engines in partition order, central's first; length 1
          unless the simulation is partitioned over domains *)
   sites : (string * Site.t) list;
-  by_name : (string, Site.t) Hashtbl.t;
+  by_name : Site.t Strtbl.t;
   syms : Symbol.table;
       (* federation-level interner: global-CC and L1 lock objects; one per
          federation, so parallel sweep domains never share a table *)
@@ -82,7 +83,7 @@ type t = {
   mutable central_fail : gid:int -> string -> unit;
   mutable journal_hook : journal_event -> unit;
   global_lock_timeout : float option;
-  batchers : (string, Batcher.t) Hashtbl.t;
+  batchers : Batcher.t Strtbl.t;
   central_gc_window : float option;
   mutable cgc_waiters : unit Fiber.resumer list;
   mutable cgc_scheduled : bool;
@@ -92,9 +93,9 @@ type t = {
   (* protocol name -> per-phase [icdb_phase_time] histogram handles, filled
      lazily per slot so exactly the instruments the run uses exist — the
      hot path then skips the registry's per-call label-key allocation *)
-  phase_hists : (string, Registry.histogram option array) Hashtbl.t;
+  phase_hists : Registry.histogram option array Strtbl.t;
   shards : shard array;  (* [||] = unsharded: every path below is untouched *)
-  shard_of_site : (string, int) Hashtbl.t;
+  shard_of_site : int Strtbl.t;
   gid_route : (int, int array) Hashtbl.t;
       (* gid -> sorted participating shard ids; a singleton routes the whole
          protocol round to that shard coordinator (the fast path), anything
@@ -193,7 +194,7 @@ let observe_site t site_name site =
   let db = Site.db site in
   (* Wire events: per-(site, label) counters cached so the hot path is one
      hashtable probe, not a key allocation. *)
-  let sent_cache : (string, Registry.counter) Hashtbl.t = Hashtbl.create 16 in
+  let sent_cache : Registry.counter Strtbl.t = Strtbl.create 16 in
   let dropped =
     Registry.counter t.registry ~labels:[ ("site", site_name) ]
       "icdb_messages_dropped_total"
@@ -201,7 +202,7 @@ let observe_site t site_name site =
   Link.set_observer (Site.link site) (function
     | Link.Msg_sent { label } ->
       let c =
-        match Hashtbl.find_opt sent_cache label with
+        match Strtbl.find_opt sent_cache label with
         | Some c -> c
         | None ->
           let c =
@@ -209,7 +210,7 @@ let observe_site t site_name site =
               ~labels:[ ("site", site_name); ("label", label) ]
               "icdb_messages_total"
           in
-          Hashtbl.replace sent_cache label c;
+          Strtbl.replace sent_cache label c;
           c
       in
       Registry.inc c;
@@ -350,8 +351,8 @@ let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
       site_engines;
     Array.of_list (List.rev !distinct)
   in
-  let by_name = Hashtbl.create 16 in
-  List.iter (fun (name, site) -> Hashtbl.replace by_name name site) sites;
+  let by_name = Strtbl.create 16 in
+  List.iter (fun (name, site) -> Strtbl.replace by_name name site) sites;
   let syms = Symbol.create ~capacity:256 () in
   (* The L1 lock manager's compatibility checks run per acquisition; give
      the federation its own memoizing instance of the relation. *)
@@ -361,13 +362,13 @@ let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
      coordinator. [shards = 1] builds nothing at all — the sharded code
      paths below are all behind [Array.length t.shards > 0], so unsharded
      federations take exactly the pre-sharding code. *)
-  let shard_of_site = Hashtbl.create 16 in
+  let shard_of_site = Strtbl.create 16 in
   let shards_arr =
     if shards <= 1 then [||]
     else begin
       let names = Array.of_list (List.map (fun (c : Db.config) -> c.site_name) configs) in
       let n = Array.length names in
-      Array.iteri (fun i name -> Hashtbl.replace shard_of_site name (i * shards / n)) names;
+      Array.iteri (fun i name -> Strtbl.replace shard_of_site name (i * shards / n)) names;
       Array.init shards (fun s ->
           let members =
             Array.to_list names
@@ -427,14 +428,14 @@ let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
       central_fail = (fun ~gid:_ _ -> ());
       journal_hook = (fun _ -> ());
       global_lock_timeout;
-      batchers = Hashtbl.create 16;
+      batchers = Strtbl.create 16;
       central_gc_window;
       cgc_waiters = [];
       cgc_scheduled = false;
       central_forces = 0;
       central_decisions = 0;
       central_force_hook = ignore;
-      phase_hists = Hashtbl.create 8;
+      phase_hists = Strtbl.create 8;
       shards = shards_arr;
       shard_of_site;
       gid_route = Hashtbl.create 64;
@@ -460,7 +461,7 @@ let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
             "icdb_batch_occupancy"
         in
         Batcher.set_observer b (fun n -> Registry.observe h (float_of_int n));
-        Hashtbl.replace t.batchers name b)
+        Strtbl.replace t.batchers name b)
       t.sites);
   (match central_gc_window with
   | None -> ()
@@ -477,7 +478,7 @@ let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
   t
 
 let site t name =
-  match Hashtbl.find_opt t.by_name name with
+  match Strtbl.find_opt t.by_name name with
   | Some s -> s
   | None -> raise Not_found
 
@@ -491,11 +492,11 @@ let intern t s = Symbol.intern t.syms s
    observations skip the registry lookup and its label-list allocation. *)
 let phase_histogram t ~protocol phase =
   let slots =
-    match Hashtbl.find_opt t.phase_hists protocol with
+    match Strtbl.find_opt t.phase_hists protocol with
     | Some slots -> slots
     | None ->
       let slots = Array.make Span.num_phases None in
-      Hashtbl.replace t.phase_hists protocol slots;
+      Strtbl.replace t.phase_hists protocol slots;
       slots
   in
   let i = Span.phase_index phase in
@@ -549,7 +550,7 @@ let journal_open_routed t ~sites ~gid ~protocol =
   if not (sharded t) then Hashtbl.replace t.journal gid (entry ())
   else begin
     let route =
-      List.filter_map (Hashtbl.find_opt t.shard_of_site) sites
+      List.filter_map (Strtbl.find_opt t.shard_of_site) sites
       |> List.sort_uniq compare |> Array.of_list
     in
     match route with
@@ -592,7 +593,7 @@ let journal_branch t ~gid ~site ~txn_id =
   | Some _ ->
     let entry = journal_find t gid in
     entry.j_branches <- entry.j_branches @ [ (site, txn_id) ];
-    (match Hashtbl.find_opt t.shard_of_site site with
+    (match Strtbl.find_opt t.shard_of_site site with
     | Some s -> (
       match Hashtbl.find_opt t.shards.(s).sh_journal gid with
       | Some mirror -> mirror.j_branches <- mirror.j_branches @ [ (site, txn_id) ]
@@ -693,7 +694,7 @@ let shard_decide_round t ~gid ~commit route =
        (List.map
           (fun s ->
             let sh = t.shards.(s) in
-            let coord = Hashtbl.find t.by_name sh.sh_coord in
+            let coord = Strtbl.find t.by_name sh.sh_coord in
             ( Site.engine coord,
               fun () ->
                 try
@@ -752,7 +753,7 @@ let journal_close t ~gid =
   (* fired after the removal so a monitor sees the post-close journal *)
   t.journal_hook (J_closed gid)
 
-let batcher t name = Hashtbl.find_opt t.batchers name
+let batcher t name = Strtbl.find_opt t.batchers name
 
 (* Central decision-log forces: with group commit on, the shared forces that
    actually happened; off, one (conceptual) force per decision — the §5
@@ -765,11 +766,11 @@ let central_log_forces t =
   else t.central_decisions
 
 let batch_envelopes t =
-  Hashtbl.fold (fun _ b acc -> acc + Batcher.envelope_count b) t.batchers 0
+  Strtbl.fold (fun _ b acc -> acc + Batcher.envelope_count b) t.batchers 0
 
 let batch_occupancy_mean t =
   let members =
-    Hashtbl.fold (fun _ b acc -> acc + Batcher.member_count b) t.batchers 0
+    Strtbl.fold (fun _ b acc -> acc + Batcher.member_count b) t.batchers 0
   in
   let envelopes = batch_envelopes t in
   if envelopes = 0 then 0.0 else float_of_int members /. float_of_int envelopes
@@ -811,7 +812,7 @@ let total_journal_entries t =
    without changing any grant decision. *)
 
 let shard_for_site t site =
-  if not (sharded t) then None else Hashtbl.find_opt t.shard_of_site site
+  if not (sharded t) then None else Strtbl.find_opt t.shard_of_site site
 
 let cc_table t ~site =
   match shard_for_site t site with

@@ -64,7 +64,7 @@ type t = {
           sites on partition engines. Drain checks must sum over all of
           them. *)
   sites : (string * Icdb_net.Site.t) list;  (** in creation order *)
-  by_name : (string, Icdb_net.Site.t) Hashtbl.t;
+  by_name : Icdb_net.Site.t Icdb_util.Strtbl.t;
   syms : Icdb_util.Symbol.table;
       (** federation-level interner: the global-CC and L1 lock tables key
           their objects by symbols of this table (each site's local table
@@ -102,7 +102,7 @@ type t = {
       (** journal lifecycle listener (see {!journal_event}); installing
           replaces the previous listener. Default: no-op. *)
   global_lock_timeout : float option;
-  batchers : (string, Icdb_net.Batcher.t) Hashtbl.t;
+  batchers : Icdb_net.Batcher.t Icdb_util.Strtbl.t;
       (** per-site decision-traffic batchers; empty unless
           [msg_batch_window] was set at creation *)
   central_gc_window : float option;
@@ -113,13 +113,13 @@ type t = {
   mutable central_forces : int;
   mutable central_decisions : int;
   mutable central_force_hook : unit -> unit;
-  phase_hists : (string, Icdb_obs.Registry.histogram option array) Hashtbl.t;
+  phase_hists : Icdb_obs.Registry.histogram option array Icdb_util.Strtbl.t;
       (** lazily filled per-(protocol, phase) handle cache behind
           {!phase_histogram} *)
   shards : shard array;
       (** [[||]] when unsharded — every journal/lock/decision path is then
           exactly the pre-sharding code *)
-  shard_of_site : (string, int) Hashtbl.t;
+  shard_of_site : int Icdb_util.Strtbl.t;
   gid_route : (int, int array) Hashtbl.t;
       (** gid -> sorted participating shard ids, registered by
           {!journal_open}; a singleton is the single-shard fast path *)

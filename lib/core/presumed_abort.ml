@@ -22,7 +22,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     ~gid ~protocol:"2pc-pa";
   let obs = obs_begin fed ~gid ~protocol:"2pc-pa" in
   let coord = coordinator_actor obs in
-  Trace.record fed.trace ~actor:coord (ev gid "running");
+  Trace.record_gid fed.trace ~actor:coord ~gid "running";
   let unsupported =
     List.find_opt
       (fun (b : Global.branch) ->
@@ -44,7 +44,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                spec.branches))
     in
     fed.central_fail ~gid "executed";
-    Trace.record fed.trace ~actor:coord (ev gid "inquire");
+    Trace.record_gid fed.trace ~actor:coord ~gid "inquire";
     let votes =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
       fanout fed
@@ -70,7 +70,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                      match Db.commit db txn with
                      | Ok () ->
                        graph_local fed ~gid ~site:b.site ~compensation:false txn;
-                       Trace.record fed.trace ~actor:b.site (ev gid "read-only");
+                       Trace.record_gid fed.trace ~actor:b.site ~gid "read-only";
                        ("read-only-vote", (b, Read_only))
                      | Error r ->
                        ( "abort-vote",
@@ -79,7 +79,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                    else
                      match Db.prepare db txn with
                      | Ok () ->
-                       Trace.record fed.trace ~actor:b.site (ev gid "ready");
+                       Trace.record_gid fed.trace ~actor:b.site ~gid "ready";
                        ("ready", (b, Ready txn))
                      | Error r ->
                        ( "abort-vote",
@@ -94,8 +94,8 @@ let run (fed : Federation.t) (spec : Global.spec) =
     in
     fed.central_fail ~gid "voted";
     let decide_commit = Option.is_none abort_cause in
-    Trace.record fed.trace ~actor:coord
-      (ev gid (if decide_commit then "decision:commit" else "decision:abort"));
+    Trace.record_gid fed.trace ~actor:coord ~gid
+      (if decide_commit then "decision:commit" else "decision:abort");
     obs_decision fed obs ~gid ~commit:decide_commit;
     if decide_commit then begin
       (* Only commits are force-logged — aborts are presumed. *)
@@ -115,7 +115,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                               ~txn_id:(Db.txn_id txn) ~commit:true;
                             graph_local fed ~gid ~site:b.site ~compensation:false
                               txn;
-                            Trace.record fed.trace ~actor:b.site (ev gid "committed");
+                            Trace.record_gid fed.trace ~actor:b.site ~gid "committed";
                             "finished") )
                 | _, (Read_only | No _) -> None)
               votes))
@@ -136,8 +136,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                               (fun () ->
                                 resolve_prepared_durably fed ~site:b.site
                                   ~txn_id:(Db.txn_id txn) ~commit:false;
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "aborted")) )
+                                Trace.record_gid fed.trace ~actor:b.site ~gid "aborted") )
                     | _, (Read_only | No _) -> None)
                   votes)));
     Federation.journal_close fed ~gid;

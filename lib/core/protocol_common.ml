@@ -14,7 +14,6 @@ module Span = Icdb_obs.Span
 (* Plain concatenation, not [Printf.sprintf]: these run once or more per
    transaction and the format machinery allocates an order of magnitude more
    than the result string. *)
-let ev gid label = "g" ^ string_of_int gid ^ ":" ^ label
 let commit_marker ~gid = "__cm:" ^ string_of_int gid
 let undo_marker ~gid ~seq = "__um:" ^ string_of_int gid ^ ":" ^ string_of_int seq
 
@@ -156,7 +155,7 @@ let execute_branch (fed : Federation.t) ~gid ?(parent = -1) (b : Global.branch)
           Federation.journal_branch fed ~gid ~site:b.site ~txn_id:(Db.txn_id txn);
           match Program.run db txn (b.program @ extra_ops) with
           | Ok () ->
-            Trace.record fed.trace ~actor:b.site (ev gid "executed");
+            Trace.record_gid fed.trace ~actor:b.site ~gid "executed";
             ("executed", Exec_ok txn)
           | Error r ->
             Db.abort db txn;
@@ -251,10 +250,10 @@ let finish (fed : Federation.t) ~gid ~start ?obs outcome =
   | Global.Committed ->
     Metrics.txn_committed fed.metrics ~response_time:(Sim.now fed.engine -. start);
     Serialization_graph.record_outcome fed.graph ~gid ~committed:true;
-    Trace.record fed.trace ~actor (ev gid "committed")
+    Trace.record_gid fed.trace ~actor ~gid "committed"
   | Global.Aborted cause ->
     Metrics.txn_aborted fed.metrics;
     Serialization_graph.record_outcome fed.graph ~gid ~committed:false;
-    Trace.record fed.trace ~actor
-      (ev gid (Format.asprintf "aborted (%a)" Global.pp_abort_cause cause)));
+    Trace.record_gid fed.trace ~actor ~gid
+      (Format.asprintf "aborted (%a)" Global.pp_abort_cause cause));
   outcome

@@ -3,9 +3,6 @@
 module Db = Icdb_localdb.Engine
 module Program = Icdb_localdb.Program
 
-(** [ev gid label] — trace label namespaced by global transaction. *)
-val ev : int -> string -> string
-
 (** The per-site key recording "this global transaction's local commit
     happened here" — the [WV 90]-style redo-log-in-the-database marker that
     makes the repetition of §3.2 idempotent across crashes. *)

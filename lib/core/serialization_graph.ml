@@ -1,5 +1,6 @@
 module Db = Icdb_localdb.Engine
 module Symbol = Icdb_util.Symbol
+module Strtbl = Icdb_util.Strtbl
 
 (* Access classification on one key: the strongest kind decides conflicts. *)
 type kind = KRead | KIncr | KWrite
@@ -16,7 +17,8 @@ type local = {
 
 type t = {
   syms : Symbol.table; (* graph-wide interner for record keys *)
-  histories : (string, local list ref) Hashtbl.t; (* site -> reversed commit order *)
+  histories : local list ref Strtbl.t; (* site -> reversed commit order *)
+  kinds_scratch : kind Strtbl.t; (* [intern_kinds]'s table, reset after each local *)
   outcomes : (int, bool) Hashtbl.t; (* gid -> committed *)
   mutable locals : int;
 }
@@ -39,7 +41,8 @@ let pp_violation fmt = function
 let create () =
   {
     syms = Symbol.create ~capacity:256 ();
-    histories = Hashtbl.create 16;
+    histories = Strtbl.create 16;
+    kinds_scratch = Strtbl.create 8;
     outcomes = Hashtbl.create 64;
     locals = 0;
   }
@@ -56,23 +59,26 @@ let join k1 k2 =
   | KRead, KRead -> KRead
   | KIncr, KIncr -> KIncr
 
-let kinds_of accesses =
-  let tbl = Hashtbl.create 8 in
+let add_kinds tbl accesses =
   let strengthen key kind =
     if internal_key key then ()
     else
-      match Hashtbl.find_opt tbl key with
-      | None -> Hashtbl.replace tbl key kind
+      match Strtbl.find_opt tbl key with
+      | None -> Strtbl.replace tbl key kind
       | Some k ->
         let j = join k kind in
-        if j <> k then Hashtbl.replace tbl key j
+        if j <> k then Strtbl.replace tbl key j
   in
   List.iter
     (function
       | Db.Read { key; _ } -> strengthen key KRead
       | Db.Wrote { key; _ } -> strengthen key KWrite
       | Db.Incremented { key; _ } -> strengthen key KIncr)
-    accesses;
+    accesses
+
+let kinds_of accesses =
+  let tbl = Strtbl.create 8 in
+  add_kinds tbl accesses;
   tbl
 
 let kinds_conflict k1 k2 =
@@ -85,12 +91,12 @@ let kinds_conflict k1 k2 =
     true
 
 let conflict_kinds a b =
-  let small, big = if Hashtbl.length a <= Hashtbl.length b then (a, b) else (b, a) in
-  Hashtbl.fold
+  let small, big = if Strtbl.length a <= Strtbl.length b then (a, b) else (b, a) in
+  Strtbl.fold
     (fun key ka hit ->
       hit
       ||
-      match Hashtbl.find_opt big key with
+      match Strtbl.find_opt big key with
       | None -> false
       | Some kb -> kinds_conflict ka kb)
     small false
@@ -99,20 +105,28 @@ let conflict a b = conflict_kinds (kinds_of a) (kinds_of b)
 
 (* Materialize the per-local kinds as an interned array, in exactly the
    scratch table's enumeration order: every later pass walks this array
-   instead of re-iterating a string table. *)
+   instead of re-iterating a string table. The reset scratch table has a
+   fresh one's buckets, so the order is the one a fresh table gives. *)
 let intern_kinds t accesses =
-  let tbl = kinds_of accesses in
-  let items = ref [] in
-  Hashtbl.iter (fun key kind -> items := (Symbol.intern t.syms key, kind) :: !items) tbl;
-  Array.of_list (List.rev !items)
+  let tbl = t.kinds_scratch in
+  add_kinds tbl accesses;
+  let items = Array.make (Strtbl.length tbl) (0, KRead) in
+  let i = ref 0 in
+  Strtbl.iter
+    (fun key kind ->
+      items.(!i) <- (Symbol.intern t.syms key, kind);
+      incr i)
+    tbl;
+  Strtbl.reset tbl;
+  items
 
 let record_local t ~gid ~site ~compensation accesses =
   let hist =
-    match Hashtbl.find_opt t.histories site with
+    match Strtbl.find_opt t.histories site with
     | Some h -> h
     | None ->
       let h = ref [] in
-      Hashtbl.replace t.histories site h;
+      Strtbl.replace t.histories site h;
       h
   in
   hist := { gid; compensation; kinds = intern_kinds t accesses } :: !hist;
@@ -147,7 +161,7 @@ let edges t =
       incr count
     end
   in
-  Hashtbl.iter
+  Strtbl.iter
     (fun _site hist ->
       let runs : (Symbol.t, run) Hashtbl.t = Hashtbl.create 64 in
       List.iter
@@ -210,7 +224,7 @@ let find_cycle t =
    all-pairs window scan. *)
 let dirty_reads t =
   let found = ref [] in
-  Hashtbl.iter
+  Strtbl.iter
     (fun site hist ->
       let ordered = Array.of_list (List.rev !hist) in
       let n = Array.length ordered in

@@ -18,7 +18,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     ~gid ~protocol:"2pc";
   let obs = obs_begin fed ~gid ~protocol:"2pc" in
   let coord = coordinator_actor obs in
-  Trace.record fed.trace ~actor:coord (ev gid "running");
+  Trace.record_gid fed.trace ~actor:coord ~gid "running";
   let unsupported =
     List.find_opt
       (fun (b : Global.branch) ->
@@ -52,7 +52,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
     (match exec_failure with
     | Some cause ->
       (* No commit protocol needed: abort the survivors directly. *)
-      Trace.record fed.trace ~actor:coord (ev gid "decision:abort");
+      Trace.record_gid fed.trace ~actor:coord ~gid "decision:abort";
       Federation.journal_decide fed ~gid ~commit:false;
       obs_decision fed obs ~gid ~commit:false;
       obs_phase fed obs ~gid Span.Local_commit (fun _ ->
@@ -75,7 +75,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
       finish fed ~gid ~start ~obs (Aborted cause)
     | None ->
       (* Phase 1: the inquiry. Locals enter the ready state. *)
-      Trace.record fed.trace ~actor:coord (ev gid "inquire");
+      Trace.record_gid fed.trace ~actor:coord ~gid "inquire";
       let votes =
         obs_phase fed obs ~gid Span.Vote (fun _ ->
             fanout fed
@@ -99,7 +99,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                          else
                            match Db.prepare db txn with
                            | Ok () ->
-                             Trace.record fed.trace ~actor:b.site (ev gid "ready");
+                             Trace.record_gid fed.trace ~actor:b.site ~gid "ready";
                              ("ready", (b, Ready))
                            | Error r ->
                              ( "abort-vote",
@@ -112,8 +112,8 @@ let run (fed : Federation.t) (spec : Global.spec) =
       in
       fed.central_fail ~gid "voted";
       let decide_commit = Option.is_none abort_cause in
-      Trace.record fed.trace ~actor:coord
-        (ev gid (if decide_commit then "decision:commit" else "decision:abort"));
+      Trace.record_gid fed.trace ~actor:coord ~gid
+        (if decide_commit then "decision:commit" else "decision:abort");
       Federation.journal_decide fed ~gid ~commit:decide_commit;
       obs_decision fed obs ~gid ~commit:decide_commit;
       fed.central_fail ~gid "decided";
@@ -144,12 +144,10 @@ let run (fed : Federation.t) (spec : Global.spec) =
                                 if decide_commit then begin
                                   graph_local fed ~gid ~site:b.site
                                     ~compensation:false txn;
-                                  Trace.record fed.trace ~actor:b.site
-                                    (ev gid "committed")
+                                  Trace.record_gid fed.trace ~actor:b.site ~gid "committed"
                                 end
                                 else
-                                  Trace.record fed.trace ~actor:b.site
-                                    (ev gid "aborted");
+                                  Trace.record_gid fed.trace ~actor:b.site ~gid "aborted";
                                 "finished") )
                     | _, No _ -> None)
                   votes)));

@@ -142,6 +142,10 @@ type t = {
      per read-set key. *)
   mutable commit_serial : int;
   last_writer : (Symbol.t, int) Hashtbl.t;
+  (* the read set and write buffer every transaction of a locking site
+     carries: nothing writes them there, so one empty pair serves all *)
+  no_reads : (Symbol.t, unit) Hashtbl.t;
+  no_buf : (Symbol.t, buf_entry) Hashtbl.t;
   mutable commits : int;
   abort_tally : (abort_reason, int) Hashtbl.t;
   mutable hold_hook : obj:Symbol.t -> duration:float -> unit;
@@ -213,6 +217,8 @@ let create engine config =
       in_doubt_tbl = Hashtbl.create 8;
       commit_serial = 0;
       last_writer = Hashtbl.create 64;
+      no_reads = Hashtbl.create 1;
+      no_buf = Hashtbl.create 1;
       commits = 0;
       abort_tally = Hashtbl.create 8;
       hold_hook = (fun ~obj:_ ~duration:_ -> ());
@@ -242,6 +248,8 @@ let record_abort t reason =
   let current = Option.value ~default:0 (Hashtbl.find_opt t.abort_tally reason) in
   Hashtbl.replace t.abort_tally reason (current + 1)
 
+let is_locking t = match t.config.capabilities.cc with Locking _ -> true | Optimistic -> false
+
 let fresh_txn t =
   t.next_txn <- t.next_txn + 1;
   {
@@ -252,12 +260,10 @@ let fresh_txn t =
     acc = [];
     index_ops = [];
     start_serial = t.commit_serial;
-    reads = Hashtbl.create 8;
-    buf = Hashtbl.create 8;
+    reads = (if is_locking t then t.no_reads else Hashtbl.create 8);
+    buf = (if is_locking t then t.no_buf else Hashtbl.create 8);
     buf_keys = [];
   }
-
-let is_locking t = match t.config.capabilities.cc with Locking _ -> true | Optimistic -> false
 
 let wait_timeout t =
   match t.config.capabilities.cc with
@@ -821,12 +827,6 @@ let committed_total t =
       else match Heap.read t.heap rid with Some (_, v) -> acc + v | None -> acc)
 
 let load t rows =
-  (* Bulk preloads can be a million rows: pre-size the interner and the
-     lock table's dense entry array so the load doesn't pay repeated
-     doubling copies on the way up. *)
-  let n = Symbol.count t.syms + List.length rows in
-  Symbol.ensure_capacity t.syms n;
-  Lock.ensure_capacity t.locks n;
   let txn = fresh_txn t in
   ignore (Log.append t.log (Begin txn.id));
   List.iter (fun (key, value) -> do_insert t txn ~key ~value) rows;

@@ -40,22 +40,23 @@ let keys p = List.sort_uniq compare (List.map key_of p)
 
 let intent_rank = function `Read -> 0 | `Increment -> 1 | `Write -> 2
 
+let intent_of = function
+  | Read _ -> `Read
+  | Increment _ -> `Increment
+  | Write _ | Delete _ -> `Write
+
+(* Sort by key, then keep the strongest intent of each run of equal keys. *)
 let intents p =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let key = key_of op in
-      let intent =
-        match op with
-        | Read _ -> `Read
-        | Increment _ -> `Increment
-        | Write _ | Delete _ -> `Write
-      in
-      match Hashtbl.find_opt tbl key with
-      | Some old when intent_rank old >= intent_rank intent -> ()
-      | _ -> Hashtbl.replace tbl key intent)
-    p;
-  Hashtbl.fold (fun k i acc -> (k, i) :: acc) tbl [] |> List.sort compare
+  List.map (fun op -> (key_of op, intent_of op)) p
+  |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
+  |> List.fold_left
+       (fun acc (key, intent) ->
+         match acc with
+         | (k, old) :: rest when String.equal k key ->
+           if intent_rank old >= intent_rank intent then acc else (key, intent) :: rest
+         | _ -> (key, intent) :: acc)
+       []
+  |> List.rev
 
 let inverse_of_accesses accesses =
   List.fold_left

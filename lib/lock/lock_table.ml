@@ -1,6 +1,7 @@
 module Engine = Icdb_sim.Engine
 module Fiber = Icdb_sim.Fiber
 module Symbol = Icdb_util.Symbol
+module Strtbl = Icdb_util.Strtbl
 
 type outcome = Granted | Timeout | Deadlock
 
@@ -50,7 +51,12 @@ type 'mode t = {
      [release_all] is this table's iteration order, which feeds fiber
      wake-ups — keeping the seed's string-keyed layout keeps simulation
      schedules, and therefore reports, byte-identical. *)
-  owned : (int, (string, Symbol.t) Hashtbl.t) Hashtbl.t;
+  owned : (int, Symbol.t Strtbl.t) Hashtbl.t;
+  (* owner sets emptied by [release_all], reset and ready for the next
+     owner: a reset set has a fresh one's bucket count, so it iterates like
+     one. Per table, never shared, because tables of concurrent simulations
+     live on different domains. *)
+  mutable spare_sets : Symbol.t Strtbl.t list;
   (* owner -> the single wait it is currently blocked in *)
   waiting_on : (int, Symbol.t * 'mode waiter) Hashtbl.t;
   (* scratch visited-set for [would_deadlock], generation-stamped so checks
@@ -74,6 +80,7 @@ let create engine ~syms ~compatible ~combine =
     combine;
     entries = Array.make 256 None;
     owned = Hashtbl.create 64;
+    spare_sets = [];
     waiting_on = Hashtbl.create 64;
     dd_visited = Hashtbl.create 64;
     dd_gen = 0;
@@ -89,16 +96,6 @@ let create engine ~syms ~compatible ~combine =
 let symbols t = t.syms
 let intern t s = Symbol.intern t.syms s
 let obj_name t obj = Symbol.name t.syms obj
-
-(* Pre-size the dense entries array for a known object population (e.g. a
-   million preloaded accounts) so the first acquires don't pay log2(n)
-   doubling copies. *)
-let ensure_capacity t n =
-  if n > Array.length t.entries then begin
-    let bigger = Array.make n None in
-    Array.blit t.entries 0 bigger 0 (Array.length t.entries);
-    t.entries <- bigger
-  end
 
 let entry_slot t obj =
   if obj >= Array.length t.entries then begin
@@ -126,11 +123,17 @@ let note_owned t owner obj =
     match Hashtbl.find_opt t.owned owner with
     | Some objs -> objs
     | None ->
-      let objs = Hashtbl.create 8 in
+      let objs =
+        match t.spare_sets with
+        | objs :: rest ->
+          t.spare_sets <- rest;
+          objs
+        | [] -> Strtbl.create 8
+      in
       Hashtbl.replace t.owned owner objs;
       objs
   in
-  Hashtbl.replace objs (obj_name t obj) obj
+  Strtbl.replace objs (obj_name t obj) obj
 
 let active_waiters entry =
   Queue.fold (fun acc w -> if w.w_active then w :: acc else acc) [] entry.waiters
@@ -331,7 +334,7 @@ let release t ~owner ~obj =
   | Some entry ->
     drop_holder t obj entry owner;
     (match Hashtbl.find_opt t.owned owner with
-    | Some objs -> Hashtbl.remove objs (obj_name t obj)
+    | Some objs -> Strtbl.remove objs (obj_name t obj)
     | None -> ());
     grant_pass t obj entry
 
@@ -356,14 +359,16 @@ let release_all t ~owner =
   | None -> ()
   | Some objs ->
     Hashtbl.remove t.owned owner;
-    Hashtbl.iter
+    Strtbl.iter
       (fun _name obj ->
         match find_entry t obj with
         | None -> ()
         | Some entry ->
           drop_holder t obj entry owner;
           grant_pass t obj entry)
-      objs
+      objs;
+    Strtbl.reset objs;
+    t.spare_sets <- objs :: t.spare_sets
 
 let reset t =
   let pending =
@@ -385,7 +390,7 @@ let held t ~owner =
   match Hashtbl.find_opt t.owned owner with
   | None -> []
   | Some objs ->
-    Hashtbl.fold
+    Strtbl.fold
       (fun name obj acc ->
         match find_entry t obj with
         | None -> acc
@@ -410,3 +415,4 @@ let deadlock_count t = t.deadlocks
 let timeout_count t = t.timeouts
 let blocked_count t = Hashtbl.length t.waiting_on
 let held_count t = t.held_total
+let spare_set_count t = List.length t.spare_sets

@@ -43,11 +43,6 @@ val create :
 (** The symbol table supplied at creation. *)
 val symbols : 'mode t -> Symbol.table
 
-(** [ensure_capacity t n] grows the dense symbol->entry array to hold at
-    least [n] objects up front, avoiding doubling copies during a bulk
-    preload. Never shrinks; held locks are unchanged. *)
-val ensure_capacity : 'mode t -> int -> unit
-
 (** [intern t s] interns an object name against the table's symbols. *)
 val intern : 'mode t -> string -> Symbol.t
 
@@ -71,7 +66,9 @@ val release : 'mode t -> owner:int -> obj:Symbol.t -> unit
 
 (** [release_all t ~owner] drops everything the owner holds — the unlock
     phase of strict two-phase locking. Also cancels any wait the owner still
-    has queued. *)
+    has queued. The owner's set of held objects is reset and kept by [t]
+    for the next owner: a reset set iterates like a fresh one, so release
+    order, and with it the order waiters wake in, is unaffected. *)
 val release_all : 'mode t -> owner:int -> unit
 
 (** Raised at the suspension point of a blocked request whose wait is torn
@@ -132,3 +129,7 @@ val blocked_count : 'mode t -> int
     (no running transactions) should report zero; anything else is a lock
     leak (the online leak monitor's signal). *)
 val held_count : 'mode t -> int
+
+(** Owner sets that {!release_all} emptied and [t] keeps for reuse. Each
+    table has its own, never shared with another table. *)
+val spare_set_count : 'mode t -> int

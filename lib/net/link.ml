@@ -1,6 +1,7 @@
 module Sim = Icdb_sim.Engine
 module Fiber = Icdb_sim.Fiber
 module Rng = Icdb_util.Rng
+module Strtbl = Icdb_util.Strtbl
 
 type observer_event =
   | Msg_sent of { label : string }
@@ -17,7 +18,7 @@ type t = {
   mutable max_retries : int option;
   rng : Rng.t;
   retry_timeout : float;
-  counts : (string, int ref) Hashtbl.t;
+  counts : int ref Strtbl.t;
   (* Receiver-side dedup state orphaned by a sender that exhausted its retry
      budget: the receiver keeps the memoized reply for the abandoned request
      id (a late copy could still arrive) until the owning global transaction
@@ -45,7 +46,7 @@ let create engine ~latency ?(loss = 0.0) ?(loss_seed = 7L) ?retry_timeout
     rng = Rng.create loss_seed;
     retry_timeout =
       (match retry_timeout with Some r -> r | None -> (6.0 *. latency) +. 1.0);
-    counts = Hashtbl.create 16;
+    counts = Strtbl.create 16;
     orphans = Hashtbl.create 4;
     total = 0;
     dropped = 0;
@@ -53,14 +54,14 @@ let create engine ~latency ?(loss = 0.0) ?(loss_seed = 7L) ?retry_timeout
   }
 
 (* The per-label counter is a cached [int ref]: after the first message with
-   a given label the hot path is a [Hashtbl.find] (no option allocation) and
+   a given label the hot path is a [Strtbl.find] (no option allocation) and
    an in-place increment — no per-message allocation. *)
 let counter t label =
-  match Hashtbl.find t.counts label with
+  match Strtbl.find t.counts label with
   | r -> r
   | exception Not_found ->
     let r = ref 0 in
-    Hashtbl.add t.counts label r;
+    Strtbl.add t.counts label r;
     r
 
 let count t label =
@@ -178,7 +179,7 @@ let send ?gid t ~label f =
 let message_count t = t.total
 
 let messages_by_label t =
-  Hashtbl.fold
+  Strtbl.fold
     (fun label r acc -> if !r = 0 then acc else (label, !r) :: acc)
     t.counts []
   |> List.sort compare
@@ -188,7 +189,7 @@ let dropped_count t = t.dropped
 let reset_counters t =
   (* Zero the refs in place (rather than [Hashtbl.reset]) so refs cached by
      long-lived senders keep counting into the same cells. *)
-  Hashtbl.iter (fun _ r -> r := 0) t.counts;
+  Strtbl.iter (fun _ r -> r := 0) t.counts;
   t.total <- 0;
   t.dropped <- 0
 

@@ -4,7 +4,14 @@
     state entered, commit point reached). The figure-reproduction benches
     (F2-F7) print these traces, and tests assert ordering properties on them
     — e.g. "the global decision lies strictly between every site's ready
-    point and its commit point" for Figure 3. *)
+    point and its commit point" for Figure 3.
+
+    A trace is always on, and the protocols record into it on every
+    transaction, so recording is cheap: an entry is a time, an actor, a gid
+    and a label stored in unboxed columns, and {!record_gid} allocates
+    nothing beyond the doubling growth of the columns. A gid-tagged entry
+    reads as the label ["g<gid>:<label>"]; that string is built only when a
+    query below reads the entry. *)
 
 type entry = { time : float; actor : string; label : string }
 
@@ -16,10 +23,17 @@ val create : Engine.t -> t
     time. *)
 val record : t -> actor:string -> string -> unit
 
-(** Entries in recording order. *)
+(** [record_gid t ~actor ~gid label] appends an entry that every query
+    below reads as the label ["g<gid>:<label>"], without building that
+    string. [label] is stored as given, so pass a static string on hot
+    paths. Raises [Invalid_argument] when [gid] is [min_int]. *)
+val record_gid : t -> actor:string -> gid:int -> string -> unit
+
+(** Entries in recording order, labels rendered. *)
 val entries : t -> entry list
 
-(** [find t ~actor ~label] is the time of the first matching entry. *)
+(** [find t ~actor ~label] is the time of the first matching entry. Labels
+    match as rendered, so a {!record_gid} entry matches ["g<gid>:<label>"]. *)
 val find : t -> actor:string -> label:string -> float option
 
 (** [find_all t ~label] is every [(time, actor)] whose label matches. *)
@@ -30,7 +44,10 @@ val find_all : t -> label:string -> (float * string) list
     missing. Actor is ignored. *)
 val before : t -> first:string -> then_:string -> bool
 
+(** Entries recorded since {!create} or the last {!clear}. *)
 val length : t -> int
+
+(** [clear t] drops every entry; the columns keep their grown size. *)
 val clear : t -> unit
 
 (** Multi-line rendering ["t=12.00 [actor] label"], for demos and benches. *)

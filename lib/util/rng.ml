@@ -67,13 +67,13 @@ let shuffle t arr =
 
 let sample_distinct t ~n ~bound =
   if n < 0 || n > bound then invalid_arg "Rng.sample_distinct";
-  (* Floyd's algorithm: O(n) expected draws, no O(bound) allocation. *)
-  let seen = Hashtbl.create (2 * n) in
+  (* Floyd's algorithm: O(n) draws, no O(bound) allocation. The values
+     taken so far are the seen set; n is small (a transaction's sites or
+     shards), so scanning them is cheaper than hashing. *)
   let acc = ref [] in
   for j = bound - n to bound - 1 do
     let v = int t (j + 1) in
-    let v = if Hashtbl.mem seen v then j else v in
-    Hashtbl.replace seen v ();
+    let v = if List.mem v !acc then j else v in
     acc := v :: !acc
   done;
   !acc

@@ -29,7 +29,7 @@ type t = int
 type table = {
   mutable names : string array; (* id -> string, dense prefix [0, count) *)
   mutable count : int;
-  ids : (string, int) Hashtbl.t;
+  ids : int Strtbl.t;
   mutable sealed : bool;
   mutable owners : int list; (* domain ids allowed to intern once sealed *)
 }
@@ -47,7 +47,7 @@ let create ?(capacity = 64) () =
   {
     names = Array.make capacity "";
     count = 0;
-    ids = Hashtbl.create capacity;
+    ids = Strtbl.create capacity;
     sealed = false;
     owners = [];
   }
@@ -71,17 +71,8 @@ let check_owner tbl s =
 
 let count tbl = tbl.count
 
-(* Pre-size for a known load (e.g. a million-account preload) so interning
-   does not go through log2(n) doubling copies of the names array. *)
-let ensure_capacity tbl n =
-  if n > Array.length tbl.names then begin
-    let bigger = Array.make n "" in
-    Array.blit tbl.names 0 bigger 0 tbl.count;
-    tbl.names <- bigger
-  end
-
 let intern tbl s =
-  match Hashtbl.find_opt tbl.ids s with
+  match Strtbl.find_opt tbl.ids s with
   | Some id -> id
   | None ->
     check_owner tbl s;
@@ -93,10 +84,10 @@ let intern tbl s =
     end;
     tbl.names.(id) <- s;
     tbl.count <- id + 1;
-    Hashtbl.replace tbl.ids s id;
+    Strtbl.replace tbl.ids s id;
     id
 
-let find tbl s = Hashtbl.find_opt tbl.ids s
+let find tbl s = Strtbl.find_opt tbl.ids s
 
 let name tbl id =
   if id < 0 || id >= tbl.count then invalid_arg "Symbol.name: unknown symbol";
@@ -105,4 +96,4 @@ let name tbl id =
 (* Point-in-time copy of the mapping: index i holds the string of symbol i. *)
 let snapshot tbl = Array.sub tbl.names 0 tbl.count
 
-let mem tbl s = Hashtbl.mem tbl.ids s
+let mem tbl s = Strtbl.mem tbl.ids s

@@ -28,11 +28,6 @@ val name : table -> t -> string
 
 val count : table -> int
 
-(** [ensure_capacity tbl n] grows the id->string array to hold at least [n]
-    symbols, avoiding repeated doubling copies during a bulk preload. Never
-    shrinks; ids and contents are unchanged. *)
-val ensure_capacity : table -> int -> unit
-
 val snapshot : table -> string array
 (** Point-in-time copy of the mapping: index [i] holds the string of
     symbol [i]. *)

@@ -568,7 +568,14 @@ let test_mlt_intended_abort_compensates () =
   Alcotest.check outcome_testable "aborted" (Global.Aborted Intended_abort) outcome;
   Alcotest.(check bool) "inverse ran" true (Metrics.compensations fed.metrics >= 1);
   Alcotest.(check (option int)) "s0 restored" (Some 100) (value fed "s0" "x");
-  Alcotest.(check (option int)) "s1 untouched" (Some 100) (value fed "s1" "x")
+  Alcotest.(check (option int)) "s1 untouched" (Some 100) (value fed "s1" "x");
+  (* the action, its undo and the outcome, as gid-tagged trace labels *)
+  let at actor label = Option.is_some (Trace.find fed.trace ~actor ~label) in
+  Alcotest.(check bool) "action done at s0" true (at "s0" "g1:done:withdraw(x,30)");
+  Alcotest.(check bool) "inverse at s0" true (at "s0" "g1:inverse-action");
+  Alcotest.(check bool) "abort at central" true (at "central" "g1:aborted (intended abort)");
+  Alcotest.(check bool) "action before its inverse" true
+    (Trace.before fed.trace ~first:"g1:done:withdraw(x,30)" ~then_:"g1:inverse-action")
 
 let test_mlt_local_failure_compensates () =
   let eng = Sim.create () in

@@ -328,6 +328,98 @@ let test_counters () =
              Alcotest.(check int) "one wait" 1 (Lock.wait_count t);
              Alcotest.(check int) "none blocked now" 0 (Lock.blocked_count t))))
 
+(* --- pooled owner sets --- *)
+
+let pool_names = Array.init 80 (Printf.sprintf "obj-%02d")
+
+(* Symbols interned in one fixed order, so two tables differ only in what
+   they did before. *)
+let pooled_table eng =
+  let t = make_table eng in
+  Array.iter (fun name -> ignore (Lock.intern t name)) pool_names;
+  t
+
+let pool_obj t i = Lock.intern t pool_names.(i)
+
+(* Five owners share 70 objects each, then release them all: the table
+   keeps five reset sets, every one of which had grown to 64 buckets. *)
+let warm_up t =
+  for owner = 1 to 5 do
+    for i = 0 to 69 do
+      let obj = pool_obj t ((i + (7 * owner)) mod 80) in
+      assert (Lock.try_acquire t ~owner ~obj ~mode:Mode.Shared)
+    done
+  done;
+  for owner = 1 to 5 do
+    Lock.release_all t ~owner
+  done
+
+(* Owner 10 holds every object, 11 the even ones, 12 every third, 13 every
+   fifth; owner 100 + i queues for an exclusive lock on object i. The
+   holders release in turn, and each release wakes the waiters whose
+   object it freed in its own set's iteration order. The log holds every
+   wake in order, each holder's [held] list before the releases, and each
+   waiter's at the end. *)
+let release_schedule t eng =
+  let log = ref [] in
+  let say s = log := s :: !log in
+  let holders = [ (10, 1); (11, 2); (12, 3); (13, 5) ] in
+  List.iter
+    (fun (owner, step) ->
+      for i = 0 to 79 do
+        if i mod step = 0 then
+          assert (Lock.try_acquire t ~owner ~obj:(pool_obj t i) ~mode:Mode.Shared)
+      done)
+    holders;
+  let show owner = String.concat "," (List.map fst (Lock.held t ~owner)) in
+  List.iter (fun (owner, _) -> say (Printf.sprintf "held %d: %s" owner (show owner))) holders;
+  for i = 0 to 79 do
+    Fiber.spawn eng (fun () ->
+        match Lock.acquire t ~owner:(100 + i) ~obj:(pool_obj t i) ~mode:Mode.Exclusive () with
+        | Lock.Granted -> say (Printf.sprintf "wake %d" (100 + i))
+        | Lock.Timeout | Lock.Deadlock -> say "denied")
+  done;
+  List.iteri
+    (fun k (owner, _) ->
+      ignore
+        (Engine.schedule eng ~delay:(float_of_int (k + 1)) (fun () ->
+             say (Printf.sprintf "release %d" owner);
+             Lock.release_all t ~owner)))
+    holders;
+  Engine.run eng;
+  for i = 0 to 79 do
+    say (Printf.sprintf "held %d: %s" (100 + i) (show (100 + i)))
+  done;
+  List.rev !log
+
+let test_recycled_sets_keep_wake_order () =
+  let fresh =
+    let eng = Engine.create () in
+    release_schedule (pooled_table eng) eng
+  in
+  let eng = Engine.create () in
+  let t = pooled_table eng in
+  warm_up t;
+  Alcotest.(check int) "five reset sets kept" 5 (Lock.spare_set_count t);
+  let recycled = release_schedule t eng in
+  let wakes = List.filter (fun s -> String.length s > 4 && String.sub s 0 4 = "wake") fresh in
+  Alcotest.(check int) "every waiter woke" 80 (List.length wakes);
+  Alcotest.(check (list string)) "recycled = fresh" fresh recycled
+
+let test_spare_sets_per_table () =
+  let eng = Engine.create () in
+  let a = pooled_table eng and b = pooled_table eng in
+  warm_up a;
+  Alcotest.(check int) "a keeps five" 5 (Lock.spare_set_count a);
+  Alcotest.(check int) "b has none" 0 (Lock.spare_set_count b);
+  assert (Lock.try_acquire b ~owner:7 ~obj:(pool_obj b 0) ~mode:Mode.Exclusive);
+  Alcotest.(check int) "b's owner set is not a's" 5 (Lock.spare_set_count a);
+  Lock.release_all b ~owner:7;
+  Alcotest.(check int) "b keeps its own" 1 (Lock.spare_set_count b);
+  assert (Lock.try_acquire a ~owner:7 ~obj:(pool_obj a 0) ~mode:Mode.Exclusive);
+  Alcotest.(check int) "a reuses its own" 4 (Lock.spare_set_count a);
+  Alcotest.(check int) "b untouched" 1 (Lock.spare_set_count b)
+
 (* Property: whatever sequence of try_acquire / release / release_all is
    applied, the granted holders on every object stay pairwise compatible
    (different owners) — the fundamental lock-table invariant. *)
@@ -468,6 +560,9 @@ let () =
           Alcotest.test_case "release_all" `Quick test_release_all;
           Alcotest.test_case "release_all cancels wait" `Quick test_release_all_cancels_wait;
           Alcotest.test_case "reset wakes everyone" `Quick test_reset_wakes_everyone;
+          Alcotest.test_case "recycled owner sets keep wake order" `Quick
+            test_recycled_sets_keep_wake_order;
+          Alcotest.test_case "spare owner sets are per table" `Quick test_spare_sets_per_table;
         ] );
       ( "metrics",
         [

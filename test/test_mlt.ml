@@ -209,6 +209,40 @@ let prop_inverse_restores =
       && List.for_all (fun (k, v) -> Db.committed_value db k = Some v) initial
       && List.length (Db.committed_keys db) = List.length initial)
 
+(* The hash-table version of [Program.intents] that the sort-and-merge
+   version replaced, as the reference. *)
+let reference_intents p =
+  let rank = function `Read -> 0 | `Increment -> 1 | `Write -> 2 in
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun op ->
+      let key, intent =
+        match op with
+        | Program.Read k -> (k, `Read)
+        | Program.Increment (k, _) -> (k, `Increment)
+        | Program.Write (k, _) | Program.Delete k -> (k, `Write)
+      in
+      match Hashtbl.find_opt tbl key with
+      | Some old when rank old >= rank intent -> ()
+      | _ -> Hashtbl.replace tbl key intent)
+    p;
+  Hashtbl.fold (fun k i acc -> (k, i) :: acc) tbl [] |> List.sort compare
+
+let prop_intents_match_reference =
+  QCheck2.Test.make ~name:"intents = hash-table reference" ~count:500
+    QCheck2.Gen.(
+      list_size (int_range 0 12)
+        (map2
+           (fun kind k ->
+             let key = [| "a"; "b"; "acct-10"; "acct-9"; "__cm:1"; "" |].(k) in
+             match kind with
+             | 0 -> Program.Read key
+             | 1 -> Program.Write (key, 5)
+             | 2 -> Program.Increment (key, -1)
+             | _ -> Program.Delete key)
+           (int_range 0 3) (int_range 0 5)))
+    (fun p -> Program.intents p = reference_intents p)
+
 let () =
   Alcotest.run "mlt"
     [
@@ -232,5 +266,6 @@ let () =
           Alcotest.test_case "inverse of accesses" `Quick test_program_inverse_of_accesses;
           Alcotest.test_case "inverse executes" `Quick test_program_inverse_executes;
           QCheck_alcotest.to_alcotest prop_inverse_restores;
+          QCheck_alcotest.to_alcotest prop_intents_match_reference;
         ] );
     ]

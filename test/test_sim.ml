@@ -573,6 +573,94 @@ let test_trace_find_all_and_clear () =
   Trace.clear tr;
   Alcotest.(check int) "cleared" 0 (Trace.length tr)
 
+(* A trace of mixed [record] and [record_gid] entries, mostly grown well
+   past the initial 64 rows and now and then cleared, must answer every
+   query as a plain list of concatenated labels does. The label pool includes a
+   plain "g1:ready", which must read exactly like gid 1's "ready". *)
+type trace_op = Plain of int * int | Tagged of int * int * int | Sleep of float | Clear_trace
+
+let trace_actors = [| "central"; "s0"; "s1" |]
+let trace_labels = [| "ready"; "committed"; "g1:ready"; "done:deposit"; "" |]
+let trace_gids = [| 1; 7; 12; 0; -3 |]
+
+let prop_trace_matches_reference =
+  QCheck2.Test.make ~name:"trace = reference list of labels" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (frequency
+           [
+             (40, map2 (fun a l -> Plain (a, l)) (int_range 0 2) (int_range 0 4));
+             ( 80,
+               map3 (fun a g l -> Tagged (a, g, l)) (int_range 0 2) (int_range 0 4)
+                 (int_range 0 4) );
+             (30, map (fun k -> Sleep (0.25 *. float_of_int k)) (int_range 0 4));
+             (1, pure Clear_trace);
+           ]))
+    (fun ops ->
+      let eng = Engine.create () in
+      let tr = Trace.create eng in
+      let model = ref [] (* newest first: (time, actor, label) *) in
+      Fiber.spawn eng (fun () ->
+          List.iter
+            (function
+              | Plain (a, l) ->
+                Trace.record tr ~actor:trace_actors.(a) trace_labels.(l);
+                model := (Engine.now eng, trace_actors.(a), trace_labels.(l)) :: !model
+              | Tagged (a, g, l) ->
+                let gid = trace_gids.(g) in
+                Trace.record_gid tr ~actor:trace_actors.(a) ~gid trace_labels.(l);
+                let label = "g" ^ string_of_int gid ^ ":" ^ trace_labels.(l) in
+                model := (Engine.now eng, trace_actors.(a), label) :: !model
+              | Sleep d -> Fiber.sleep eng d
+              | Clear_trace ->
+                Trace.clear tr;
+                model := [])
+            ops);
+      Engine.run eng;
+      let model = List.rev !model in
+      let queries =
+        Array.to_list trace_labels
+        @ List.concat_map
+            (fun g ->
+              List.map (fun l -> "g" ^ string_of_int g ^ ":" ^ l) (Array.to_list trace_labels))
+            (Array.to_list trace_gids)
+        @ [ "g1"; "g:ready"; "missing" ]
+      in
+      let ref_find actor label =
+        List.find_map (fun (t, a, l) -> if a = actor && l = label then Some t else None) model
+      in
+      let ref_find_all label =
+        List.filter_map (fun (t, a, l) -> if l = label then Some (t, a) else None) model
+      in
+      let ref_before first then_ =
+        let rec go seen = function
+          | [] -> false
+          | (_, _, l) :: rest ->
+            if l = first && not seen then go true rest
+            else if l = then_ then seen
+            else go seen rest
+        in
+        go false model
+      in
+      let ref_render =
+        String.concat ""
+          (List.map (fun (t, a, l) -> Printf.sprintf "t=%8.2f  [%-12s] %s\n" t a l) model)
+      in
+      Trace.length tr = List.length model
+      && List.map (fun (e : Trace.entry) -> (e.time, e.actor, e.label)) (Trace.entries tr)
+         = model
+      && Trace.render tr = ref_render
+      && List.for_all
+           (fun label ->
+             Trace.find_all tr ~label = ref_find_all label
+             && Array.for_all
+                  (fun actor -> Trace.find tr ~actor ~label = ref_find actor label)
+                  trace_actors
+             && List.for_all
+                  (fun then_ -> Trace.before tr ~first:label ~then_ = ref_before label then_)
+                  queries)
+           queries)
+
 let () =
   Alcotest.run "sim"
     [
@@ -627,5 +715,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_trace_basic;
           Alcotest.test_case "find_all and clear" `Quick test_trace_find_all_and_clear;
+          QCheck_alcotest.to_alcotest prop_trace_matches_reference;
         ] );
     ]

@@ -6,6 +6,7 @@ module Zipf = Icdb_util.Zipf
 module Stats = Icdb_util.Stats
 module Table = Icdb_util.Table
 module Pool = Icdb_util.Pool
+module Strtbl = Icdb_util.Strtbl
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -425,6 +426,75 @@ let prop_zipf_sample_in_range =
       let k = Zipf.sample z rng in
       k >= 0 && k < n)
 
+(* The hash-set version of [sample_distinct] (Floyd's algorithm) that the
+   list version replaced: same draws, so same output and same RNG state. *)
+let reference_sample_distinct t ~n ~bound =
+  let seen = Hashtbl.create (2 * n) in
+  let acc = ref [] in
+  for j = bound - n to bound - 1 do
+    let v = Rng.int t (j + 1) in
+    let v = if Hashtbl.mem seen v then j else v in
+    Hashtbl.replace seen v ();
+    acc := v :: !acc
+  done;
+  !acc
+
+let prop_sample_distinct_matches_reference =
+  QCheck2.Test.make ~name:"sample_distinct = hash-set reference" ~count:500
+    QCheck2.Gen.(triple (int_range 1 64) (int_range 0 64) int)
+    (fun (bound, n, seed) ->
+      let n = n mod (bound + 1) in
+      let a = Rng.create (Int64.of_int seed) in
+      let b = Rng.copy a in
+      let got = Rng.sample_distinct a ~n ~bound in
+      let want = reference_sample_distinct b ~n ~bound in
+      got = want && Rng.bits64 a = Rng.bits64 b)
+
+(* [Strtbl] against the polymorphic [Hashtbl] it replaces: the same
+   operation sequence (enough keys to force several resizes, plus resets
+   and clears) must leave both with the same bindings in the same
+   iteration order, after every operation. *)
+type strtbl_op = Add of int * int | Replace of int * int | Remove of int | Reset | Clear
+
+let prop_strtbl_iterates_like_hashtbl =
+  QCheck2.Test.make ~name:"Strtbl iterates like a generic Hashtbl" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (frequency
+           [
+             (6, map2 (fun k v -> Add (k, v)) (int_range 0 299) small_nat);
+             (6, map2 (fun k v -> Replace (k, v)) (int_range 0 299) small_nat);
+             (3, map (fun k -> Remove k) (int_range 0 299));
+             (1, pure Reset);
+             (1, pure Clear);
+           ]))
+    (fun ops ->
+      let key i =
+        if i mod 3 = 0 then Printf.sprintf "acct-%03d" i else "site-" ^ string_of_int i
+      in
+      let g = Hashtbl.create 8 and s = Strtbl.create 8 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (k, v) ->
+            Hashtbl.add g (key k) v;
+            Strtbl.add s (key k) v
+          | Replace (k, v) ->
+            Hashtbl.replace g (key k) v;
+            Strtbl.replace s (key k) v
+          | Remove k ->
+            Hashtbl.remove g (key k);
+            Strtbl.remove s (key k)
+          | Reset ->
+            Hashtbl.reset g;
+            Strtbl.reset s
+          | Clear ->
+            Hashtbl.clear g;
+            Strtbl.clear s);
+          Hashtbl.fold (fun k v acc -> (k, v) :: acc) g []
+          = Strtbl.fold (fun k v acc -> (k, v) :: acc) s [])
+        ops)
+
 (* --- Pool --- *)
 
 let test_pool_preserves_order () =
@@ -608,6 +678,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_btree_model;
         ] );
       ( "properties",
-        qc [ prop_rng_int_in_bounds; prop_percentile_within_extremes; prop_zipf_sample_in_range ]
+        qc
+          [
+            prop_rng_int_in_bounds;
+            prop_percentile_within_extremes;
+            prop_zipf_sample_in_range;
+            prop_sample_distinct_matches_reference;
+            prop_strtbl_iterates_like_hashtbl;
+          ]
       );
     ]
