@@ -225,7 +225,7 @@ let recover_shard (fed : Federation.t) ~shard =
         resolve_entry fed ~gid ~entry ~decision:d ~site_ok ~pushed ~aborted ~redone
           ~undone;
         (* the shard learns (and keeps) the decision it just applied *)
-        Hashtbl.replace sh.sh_decision_log gid d;
+        Icdb_util.Gid_store.Bool.replace sh.sh_decision_log gid d;
         if local then begin
           Action_log.remove fed.redo_log ~gid;
           Action_log.remove fed.undo_log ~gid;

@@ -44,7 +44,7 @@ type shard = {
   sh_coord : string;  (** coordinator site name (first member) *)
   sh_sites : string list;
   sh_journal : (int, journal_entry) Hashtbl.t;
-  sh_decision_log : (int, bool) Hashtbl.t;
+  sh_decision_log : Icdb_util.Gid_store.Bool.t;
   sh_cc : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
   sh_l1 : Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t;
   mutable sh_forces : int;
@@ -86,7 +86,7 @@ type t = {
   mlt_undo_log : Action_log.t;
       (** the L1 transaction manager's own undo-log, reused by
           commitment-before under multi-level transactions (§4.3) *)
-  decision_log : (int, bool) Hashtbl.t;  (** gid -> global decision (stable) *)
+  decision_log : Icdb_util.Gid_store.Bool.t;  (** gid -> global decision (stable) *)
   journal : (int, journal_entry) Hashtbl.t;
       (** stable per-transaction protocol journal for central recovery *)
   graph : Serialization_graph.t;
@@ -120,7 +120,7 @@ type t = {
       (** [[||]] when unsharded — every journal/lock/decision path is then
           exactly the pre-sharding code *)
   shard_of_site : int Icdb_util.Strtbl.t;
-  gid_route : (int, int array) Hashtbl.t;
+  gid_route : int array Icdb_util.Gid_store.t;
       (** gid -> sorted participating shard ids, registered by
           {!journal_open}; a singleton is the single-shard fast path *)
   decision_force_time : float option;

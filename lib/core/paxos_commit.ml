@@ -5,6 +5,7 @@ module Link = Icdb_net.Link
 module Registry = Icdb_obs.Registry
 module Tracer = Icdb_obs.Tracer
 module Span = Icdb_obs.Span
+module Sparse = Icdb_util.Gid_store.Sparse
 
 (* Paxos Commit (Gray & Lamport) over the federation's decision log: the
    per-transaction commit/abort record — the one thing 2PC forces at a
@@ -30,26 +31,26 @@ module Acceptor = struct
 
   type t = {
     site : Site.t;
-    instances : (int, instance) Hashtbl.t;
+    instances : instance Sparse.t;
     mutable forces : int;
   }
 
-  let create site = { site; instances = Hashtbl.create 64; forces = 0 }
+  let create site = { site; instances = Sparse.create 64; forces = 0 }
   let name t = Site.name t.site
   let forces t = t.forces
 
   let instance t ~gid =
-    match Hashtbl.find_opt t.instances gid with
-    | Some i -> i
-    | None ->
+    match Sparse.find t.instances gid with
+    | i -> i
+    | exception Not_found ->
       let i = { promised = -1; accepted = None } in
-      Hashtbl.add t.instances gid i;
+      Sparse.add t.instances gid i;
       i
 
   let accepted t ~gid =
-    match Hashtbl.find_opt t.instances gid with
-    | Some i -> i.accepted
-    | None -> None
+    match Sparse.find t.instances gid with
+    | i -> i.accepted
+    | exception Not_found -> None
 
   (* Phase 2a/2b: vote for (ballot, value) unless a higher ballot was
      promised. A vote is forced to stable storage before the ack. *)
@@ -90,7 +91,7 @@ type t = {
   failover_delay : float;
   central_group : group;
   shard_groups : group array;
-  ballots : (int, int) Hashtbl.t;  (* gid -> highest ballot issued here *)
+  ballots : int Sparse.t;  (* gid -> highest ballot issued here *)
   mutable rounds : int;  (* accept rounds driven (ballot 0 and recovery) *)
   mutable failovers : int;
   rounds_c : Registry.counter;
@@ -167,8 +168,8 @@ let read_decision t ~gid =
   Option.map snd !best
 
 let next_ballot t ~gid =
-  let b = 1 + Option.value ~default:0 (Hashtbl.find_opt t.ballots gid) in
-  Hashtbl.replace t.ballots gid b;
+  let b = 1 + (match Sparse.find t.ballots gid with b -> b | exception Not_found -> 0) in
+  Sparse.replace t.ballots gid b;
   b
 
 (* Is the gid's journal entry still open (anywhere)? A closed entry means
@@ -290,7 +291,7 @@ let install ?(failover_delay = 25.0) fed ~acceptors =
       failover_delay;
       central_group;
       shard_groups;
-      ballots = Hashtbl.create 16;
+      ballots = Sparse.create 16;
       rounds = 0;
       failovers = 0;
       (* created here, at install: federations without Paxos register no

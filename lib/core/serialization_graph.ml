@@ -1,6 +1,7 @@
 module Db = Icdb_localdb.Engine
 module Symbol = Icdb_util.Symbol
 module Strtbl = Icdb_util.Strtbl
+module Gid_store = Icdb_util.Gid_store
 
 (* Access classification on one key: the strongest kind decides conflicts. *)
 type kind = KRead | KIncr | KWrite
@@ -19,7 +20,7 @@ type t = {
   syms : Symbol.table; (* graph-wide interner for record keys *)
   histories : local list ref Strtbl.t; (* site -> reversed commit order *)
   kinds_scratch : kind Strtbl.t; (* [intern_kinds]'s table, reset after each local *)
-  outcomes : (int, bool) Hashtbl.t; (* gid -> committed *)
+  outcomes : Gid_store.Bool.t; (* gid -> committed *)
   mutable locals : int;
 }
 
@@ -43,7 +44,7 @@ let create () =
     syms = Symbol.create ~capacity:256 ();
     histories = Strtbl.create 16;
     kinds_scratch = Strtbl.create 8;
-    outcomes = Hashtbl.create 64;
+    outcomes = Gid_store.Bool.create ();
     locals = 0;
   }
 
@@ -132,9 +133,10 @@ let record_local t ~gid ~site ~compensation accesses =
   hist := { gid; compensation; kinds = intern_kinds t accesses } :: !hist;
   t.locals <- t.locals + 1
 
-let record_outcome t ~gid ~committed = Hashtbl.replace t.outcomes gid committed
+let record_outcome t ~gid ~committed = Gid_store.Bool.replace t.outcomes gid committed
 
-let committed_of t gid = Option.value ~default:false (Hashtbl.find_opt t.outcomes gid)
+let committed_of t gid =
+  match Gid_store.Bool.find_opt t.outcomes gid with Some c -> c | None -> false
 
 (* Successor lists among committed globals, built from per-site commit order,
    and the number of edges in them.

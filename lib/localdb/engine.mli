@@ -216,6 +216,13 @@ val committed_keys : t -> string list
     are not read). Walks the index without building a key list. *)
 val committed_total : t -> int
 
+(** [check_key_locations t] checks the engine's per-symbol cache of record
+    locations against the B+-tree index: [None] when every interned key's
+    cached location (if it has one) equals the index's, else
+    [Some (key, description)] for the first key that differs. For
+    tests. *)
+val check_key_locations : t -> (string * string) option
+
 (** {1 Metrics} *)
 
 val commit_count : t -> int

@@ -1,10 +1,9 @@
 module Sim = Icdb_sim.Engine
 module Fiber = Icdb_sim.Fiber
 module Rng = Icdb_util.Rng
-module Strtbl = Icdb_util.Strtbl
 
 type observer_event =
-  | Msg_sent of { label : string }
+  | Msg_sent of { label : string; slot : int }
   | Msg_received of { label : string }
   | Msg_dropped of { label : string }
 
@@ -18,7 +17,15 @@ type t = {
   mutable max_retries : int option;
   rng : Rng.t;
   retry_timeout : float;
-  counts : int ref Strtbl.t;
+  (* Per-label message counts, by label slot: a label takes the next slot
+     the first time this link carries it, and keeps it for the link's
+     life. [sent_events]/[received_events] hold each slot's observer
+     event, built once, so reporting a message allocates nothing. *)
+  mutable n_labels : int;
+  mutable labels : string array;
+  mutable counts : int array;
+  mutable sent_events : observer_event array;
+  mutable received_events : observer_event array;
   (* Receiver-side dedup state orphaned by a sender that exhausted its retry
      budget: the receiver keeps the memoized reply for the abandoned request
      id (a late copy could still arrive) until the owning global transaction
@@ -46,35 +53,74 @@ let create engine ~latency ?(loss = 0.0) ?(loss_seed = 7L) ?retry_timeout
     rng = Rng.create loss_seed;
     retry_timeout =
       (match retry_timeout with Some r -> r | None -> (6.0 *. latency) +. 1.0);
-    counts = Strtbl.create 16;
+    n_labels = 0;
+    labels = [||];
+    counts = [||];
+    sent_events = [||];
+    received_events = [||];
     orphans = Hashtbl.create 4;
     total = 0;
     dropped = 0;
     observer = (fun _ -> ());
   }
 
-(* The per-label counter is a cached [int ref]: after the first message with
-   a given label the hot path is a [Strtbl.find] (no option allocation) and
-   an in-place increment — no per-message allocation. *)
-let counter t label =
-  match Strtbl.find t.counts label with
-  | r -> r
-  | exception Not_found ->
-    let r = ref 0 in
-    Strtbl.add t.counts label r;
-    r
+(* Label -> slot is a linear scan over the few labels a link carries
+   (about ten). Protocol labels are string literals, so the physical
+   comparison of the first pass finds them; a label built at run time is
+   found by the [String.equal] pass. Both are top-level functions: a local
+   recursive closure would allocate on every message. *)
+let rec find_physical labels label i n =
+  if i = n then -1
+  else if labels.(i) == label then i
+  else find_physical labels label (i + 1) n
+
+let rec find_equal labels label i n =
+  if i = n then -1
+  else if String.equal labels.(i) label then i
+  else find_equal labels label (i + 1) n
+
+let grow a fill n = Array.append a (Array.make (max 8 n) fill)
+
+let add_label t label =
+  let slot = t.n_labels in
+  if slot = Array.length t.labels then begin
+    t.labels <- grow t.labels "" slot;
+    t.counts <- grow t.counts 0 slot;
+    let none = Msg_dropped { label = "" } in
+    t.sent_events <- grow t.sent_events none slot;
+    t.received_events <- grow t.received_events none slot
+  end;
+  t.labels.(slot) <- label;
+  t.sent_events.(slot) <- Msg_sent { label; slot };
+  t.received_events.(slot) <- Msg_received { label };
+  t.n_labels <- slot + 1;
+  slot
+
+let slot t label =
+  let s = find_physical t.labels label 0 t.n_labels in
+  if s >= 0 then s
+  else
+    let s = find_equal t.labels label 0 t.n_labels in
+    if s >= 0 then s else add_label t label
+
+(* Count one logical message labelled [label] and report it to the
+   observer; returns the label's slot. *)
+let count_label t label =
+  let s = slot t label in
+  t.counts.(s) <- t.counts.(s) + 1;
+  t.observer t.sent_events.(s);
+  s
 
 let count t label =
   t.total <- t.total + 1;
-  incr (counter t label);
-  t.observer (Msg_sent { label })
+  count_label t label
+
+let received t s = t.observer t.received_events.(s)
 
 (* A logical message riding inside a batch envelope: visible in the
    per-label counts and to observers, but not a wire message of its own
    (the envelope already paid for the wire). *)
-let count_piggyback t ~label =
-  incr (counter t label);
-  t.observer (Msg_sent { label })
+let count_piggyback t ~label = ignore (count_label t label)
 
 let lost t ~label =
   t.loss > 0.0
@@ -92,10 +138,7 @@ let lost t ~label =
    travels alongside the original). The guard keeps the rng untouched when
    duplication is off, so default runs are byte-identical. *)
 let maybe_duplicate t ~label =
-  if t.dup > 0.0 && Rng.bernoulli t.rng t.dup then begin
-    count t label;
-    t.observer (Msg_received { label })
-  end
+  if t.dup > 0.0 && Rng.bernoulli t.rng t.dup then received t (count t label)
 
 (* [retry ~gid ~delivered label n] either waits out the retransmission timer
    or — with the retry budget exhausted — gives the exchange up. A receiver
@@ -117,7 +160,7 @@ let rpc ?gid t ~label f =
   let executed = ref None in
   let delivered = ref false in
   let rec attempt n =
-    count t label;
+    let request = count t label in
     if lost t ~label then begin
       (* request copy dropped: wait out the retransmission timer *)
       check_budget t ?gid ~delivered:!delivered label n;
@@ -126,7 +169,7 @@ let rpc ?gid t ~label f =
     end
     else begin
       Fiber.sleep t.engine t.latency;
-      t.observer (Msg_received { label });
+      received t request;
       delivered := true;
       maybe_duplicate t ~label;
       let reply_label, value =
@@ -137,7 +180,7 @@ let rpc ?gid t ~label f =
           executed := Some reply;
           reply
       in
-      count t reply_label;
+      let reply = count t reply_label in
       if lost t ~label:reply_label then begin
         (* reply copy dropped *)
         check_budget t ?gid ~delivered:!delivered label n;
@@ -146,7 +189,7 @@ let rpc ?gid t ~label f =
       end
       else begin
         Fiber.sleep t.engine t.latency;
-        t.observer (Msg_received { label = reply_label });
+        received t reply;
         maybe_duplicate t ~label:reply_label;
         value
       end
@@ -161,7 +204,7 @@ let rpc ?gid t ~label f =
 let send ?gid t ~label f =
   ignore gid;
   let rec attempt n =
-    count t label;
+    let request = count t label in
     if lost t ~label then begin
       check_budget t ~delivered:false label n;
       Fiber.sleep t.engine t.retry_timeout;
@@ -169,7 +212,7 @@ let send ?gid t ~label f =
     end
     else begin
       Fiber.sleep t.engine t.latency;
-      t.observer (Msg_received { label });
+      received t request;
       maybe_duplicate t ~label;
       f ()
     end
@@ -179,17 +222,20 @@ let send ?gid t ~label f =
 let message_count t = t.total
 
 let messages_by_label t =
-  Strtbl.fold
-    (fun label r acc -> if !r = 0 then acc else (label, !r) :: acc)
-    t.counts []
-  |> List.sort compare
+  let rec collect i acc =
+    if i < 0 then acc
+    else
+      let acc = if t.counts.(i) = 0 then acc else (t.labels.(i), t.counts.(i)) :: acc in
+      collect (i - 1) acc
+  in
+  List.sort compare (collect (t.n_labels - 1) [])
 
 let dropped_count t = t.dropped
 
 let reset_counters t =
-  (* Zero the refs in place (rather than [Hashtbl.reset]) so refs cached by
-     long-lived senders keep counting into the same cells. *)
-  Strtbl.iter (fun _ r -> r := 0) t.counts;
+  (* Zero the counts in place: every label keeps its slot, so slots cached
+     by observers stay valid. *)
+  Array.fill t.counts 0 t.n_labels 0;
   t.total <- 0;
   t.dropped <- 0
 
@@ -217,8 +263,11 @@ let set_max_retries t n =
 let orphan_count t = Hashtbl.length t.orphans
 
 let evict_gid t ~gid =
-  while Hashtbl.mem t.orphans gid do
-    Hashtbl.remove t.orphans gid
-  done
+  (* runs for every link on every journal close; almost always nothing to
+     evict *)
+  if Hashtbl.length t.orphans > 0 then
+    while Hashtbl.mem t.orphans gid do
+      Hashtbl.remove t.orphans gid
+    done
 
 let set_observer t f = t.observer <- f

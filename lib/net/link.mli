@@ -75,7 +75,18 @@ val rpc : ?gid:int -> t -> label:string -> (unit -> string * 'a) -> 'a
 val send : ?gid:int -> t -> label:string -> (unit -> unit) -> unit
 
 (** Total messages carried (including retransmitted copies), and per-label
-    counts (sorted by label). *)
+    counts (sorted by label).
+
+    {b Label slots.} A link numbers the labels it carries: the first
+    message with a label gives it the next free slot, [0, 1, ...], and the
+    label keeps that slot for the link's life ({!reset_counters} zeroes the
+    counts but keeps the slots). Counting a message finds its slot by a
+    linear scan over the link's labels — a physical-equality pass, which
+    finds the string literals the protocols use, then a [String.equal]
+    pass for labels built at run time — and bumps an array cell. A link
+    carries about ten labels, so the scan costs a few compares and no
+    string hash, and the hot path allocates nothing: each slot's
+    [Msg_sent]/[Msg_received] event is built once and reused. *)
 val message_count : t -> int
 
 val messages_by_label : t -> (string * int) list
@@ -110,9 +121,15 @@ val evict_gid : t -> gid:int -> unit
 
 (** Wire-level events for the observability layer: a copy entering the wire,
     a copy delivered after the latency, a copy dropped by the lossy wire.
-    Retransmissions emit fresh events per copy, matching the counters. *)
+    Retransmissions emit an event per copy, matching the counters.
+
+    [Msg_sent]'s [slot] is the label's slot on this link (see
+    {!messages_by_label}): equal labels always carry the same slot, so an
+    observer can keep per-label state in an array indexed by it instead of
+    hashing the label. Events of one slot are shared values; observers must
+    not rely on their physical identity. *)
 type observer_event =
-  | Msg_sent of { label : string }
+  | Msg_sent of { label : string; slot : int }
   | Msg_received of { label : string }
   | Msg_dropped of { label : string }
 

@@ -818,6 +818,117 @@ let prop_abort_atomicity =
       List.for_all (fun (k, v) -> Db.committed_value db k = Some v) initial
       && List.length (Db.committed_keys db) = 3)
 
+(* Property: the engine's per-symbol record locations stay equal to the
+   B+-tree index through random work on a record-level locking site —
+   writes (inserting new keys as well as updating), increments, deletes,
+   rollback by abort and by kill, crash with a transaction in flight
+   followed by restart, a prepared transaction resolved either way after a
+   crash, and checkpoints. Checked after every operation and every step. *)
+type kl_op = KRead of int | KWrite of int * int | KDelete of int | KIncr of int * int
+
+type kl_step =
+  | KCommit of kl_op list
+  | KAbort of kl_op list
+  | KKill of kl_op list
+  | KCrash of kl_op list
+  | KPrepared of kl_op list * bool
+  | KCheckpoint
+
+let prop_key_locations =
+  QCheck2.Test.make ~name:"key locations = B+-tree index" ~count:150
+    QCheck2.Gen.(
+      let key = int_range 0 7 in
+      let op =
+        frequency
+          [
+            (3, map (fun k -> KRead k) key);
+            (4, map2 (fun k v -> KWrite (k, v)) key (int_range 0 99));
+            (2, map (fun k -> KDelete k) key);
+            (3, map2 (fun k d -> KIncr (k, d)) key (int_range (-5) 5));
+          ]
+      in
+      let ops = list_size (int_range 1 6) op in
+      list_size (int_range 1 25)
+        (frequency
+           [
+             (5, map (fun o -> KCommit o) ops);
+             (2, map (fun o -> KAbort o) ops);
+             (2, map (fun o -> KKill o) ops);
+             (1, map (fun o -> KCrash o) ops);
+             (1, map2 (fun o c -> KPrepared (o, c)) ops bool);
+             (1, pure KCheckpoint);
+           ]))
+    (fun steps ->
+      let eng = Sim.create () in
+      let db = Db.create eng (locking_config ~prepare:true "kl") in
+      Db.load db [ ("k0", 10); ("k1", 20); ("k2", 30) ];
+      let consistent = ref true in
+      let check () =
+        match Db.check_key_locations db with
+        | None -> ()
+        | Some _ -> consistent := false
+      in
+      let run_ops t ops =
+        List.iter
+          (fun op ->
+            (match op with
+            | KRead k -> ignore (Db.read db t (Printf.sprintf "k%d" k))
+            | KWrite (k, value) -> ignore (Db.write db t ~key:(Printf.sprintf "k%d" k) ~value)
+            | KDelete k -> ignore (Db.delete db t (Printf.sprintf "k%d" k))
+            | KIncr (k, delta) ->
+              let key = Printf.sprintf "k%d" k in
+              if Db.committed_value db key <> None then
+                ignore (Db.increment db t ~key ~delta));
+            check ())
+          ops
+      in
+      let in_fiber f =
+        Fiber.spawn eng f;
+        Sim.run eng;
+        check ()
+      in
+      List.iter
+        (fun step ->
+          match step with
+          | KCommit ops ->
+            in_fiber (fun () ->
+                let t = Db.begin_txn db in
+                run_ops t ops;
+                ignore (Db.commit db t))
+          | KAbort ops ->
+            in_fiber (fun () ->
+                let t = Db.begin_txn db in
+                run_ops t ops;
+                Db.abort db t)
+          | KKill ops ->
+            in_fiber (fun () ->
+                let t = Db.begin_txn db in
+                run_ops t ops;
+                Db.kill db t)
+          | KCrash ops ->
+            in_fiber (fun () -> run_ops (Db.begin_txn db) ops);
+            Db.crash db;
+            ignore (Db.restart db);
+            check ()
+          | KPrepared (ops, commit) ->
+            let id = ref None in
+            in_fiber (fun () ->
+                let t = Db.begin_txn db in
+                run_ops t ops;
+                match Db.prepare db t with
+                | Ok () -> id := Some (Db.txn_id t)
+                | Error _ -> ());
+            Db.crash db;
+            ignore (Db.restart db);
+            check ();
+            Option.iter (fun txn_id -> Db.resolve_prepared db ~txn_id ~commit) !id;
+            check ()
+          | KCheckpoint ->
+            Db.checkpoint db;
+            check ())
+        steps;
+      !consistent)
+
 (* Oracle equivalence for the interned OCC fast path: the engine now keeps
    one last-committer serial per key, the seed kept the full committed-write
    history and scanned it. This property replays random interleaved
@@ -1037,5 +1148,6 @@ let () =
           Alcotest.test_case "load placement" `Quick test_load_placement;
           QCheck_alcotest.to_alcotest prop_abort_atomicity;
           QCheck_alcotest.to_alcotest prop_occ_oracle;
+          QCheck_alcotest.to_alcotest prop_key_locations;
         ] );
     ]

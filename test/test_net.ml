@@ -224,6 +224,29 @@ let test_link_orphan_eviction () =
   Link.evict_gid link ~gid:7;
   Alcotest.(check int) "journal close evicts" 0 (Link.orphan_count link)
 
+(* Two gids leave orphans; closing one evicts only its own, and closing a
+   gid without orphans evicts nothing. *)
+let test_link_orphan_eviction_per_gid () =
+  let eng = Sim.create () in
+  let link = Link.create eng ~latency:1.0 ~max_retries:0 () in
+  ignore (Sim.schedule eng ~delay:0.5 (fun () -> Link.set_loss link 0.99));
+  List.iter
+    (fun gid ->
+      Fiber.spawn eng (fun () ->
+          try ignore (Link.rpc ~gid link ~label:"q" (fun () -> ("r", ())))
+          with Link.Unreachable _ -> ()))
+    [ 7; 8 ];
+  Sim.run eng;
+  Alcotest.(check int) "one orphan per gid" 2 (Link.orphan_count link);
+  Link.evict_gid link ~gid:9;
+  Alcotest.(check int) "gid without orphans evicts nothing" 2 (Link.orphan_count link);
+  Link.evict_gid link ~gid:7;
+  Alcotest.(check int) "only gid 7's orphan evicted" 1 (Link.orphan_count link);
+  Link.evict_gid link ~gid:7;
+  Alcotest.(check int) "evicting twice is a no-op" 1 (Link.orphan_count link);
+  Link.evict_gid link ~gid:8;
+  Alcotest.(check int) "gid 8's orphan evicted" 0 (Link.orphan_count link)
+
 (* Duplicated deliveries ride the wire and the counters but never re-run the
    handler (receiver-side dedup). *)
 let test_link_duplication_deduped () =
@@ -254,7 +277,7 @@ let test_link_count_piggyback () =
   let link = Link.create eng ~latency:1.0 () in
   let sent = ref [] in
   Link.set_observer link (function
-    | Link.Msg_sent { label } -> sent := label :: !sent
+    | Link.Msg_sent { label; _ } -> sent := label :: !sent
     | _ -> ());
   Link.count_piggyback link ~label:"commit";
   Link.count_piggyback link ~label:"commit";
@@ -265,8 +288,8 @@ let test_link_count_piggyback () =
     [ "commit"; "commit" ] !sent
 
 let test_link_reset_then_recount () =
-  (* Counter refs are zeroed in place on reset, so senders keep counting into
-     the same cells; labels with a zero count do not reappear. *)
+  (* Counts are zeroed in place on reset, so labels keep their slots and
+     count into them again; labels with a zero count do not reappear. *)
   let eng = Sim.create () in
   let link = Link.create eng ~latency:0.5 () in
   Fiber.spawn eng (fun () -> ignore (Link.rpc link ~label:"ping" (fun () -> ("pong", ()))));
@@ -279,6 +302,75 @@ let test_link_reset_then_recount () =
   Alcotest.(check (list (pair string int))) "recounted from zero"
     [ ("ping", 1); ("pong", 1) ]
     (Link.messages_by_label link)
+
+(* Label slots against a string-keyed reference count. A message is either
+   a piggybacked logical message or a one-way send; its label is the
+   literal or an equal string built at run time (so not physically equal
+   to the literal). After every step: [messages_by_label] equals the
+   reference, equal labels have carried the same [Msg_sent] slot and
+   distinct labels distinct slots, and a reset zeroes every count while
+   later messages keep their label's slot. *)
+type label_op = Piggyback of int * bool | Send of int * bool | Reset_counts
+
+let literal_labels = [| "prepare"; "ready"; "commit"; "ack"; "abort"; "shard-decide" |]
+
+let prop_label_slots =
+  QCheck2.Test.make ~name:"label slots = reference counts" ~count:200
+    QCheck2.Gen.(
+      let label = int_range 0 (Array.length literal_labels - 1) in
+      list_size (int_range 0 120)
+        (frequency
+           [
+             (6, map2 (fun l fresh -> Piggyback (l, fresh)) label bool);
+             (3, map2 (fun l fresh -> Send (l, fresh)) label bool);
+             (1, pure Reset_counts);
+           ]))
+    (fun ops ->
+      let eng = Sim.create () in
+      let link = Link.create eng ~latency:1.0 () in
+      let reference = Icdb_util.Strtbl.create 8 in
+      let slot_of = Icdb_util.Strtbl.create 8 in
+      let slots_consistent = ref true in
+      Link.set_observer link (function
+        | Link.Msg_sent { label; slot } -> (
+          match Icdb_util.Strtbl.find_opt slot_of label with
+          | Some s -> if s <> slot then slots_consistent := false
+          | None ->
+            if Icdb_util.Strtbl.fold (fun _ s taken -> taken || s = slot) slot_of false
+            then slots_consistent := false;
+            Icdb_util.Strtbl.replace slot_of label slot)
+        | Link.Msg_received _ | Link.Msg_dropped _ -> ());
+      let label_of l fresh =
+        let lit = literal_labels.(l) in
+        if fresh then
+          String.concat "" [ String.sub lit 0 1; String.sub lit 1 (String.length lit - 1) ]
+        else lit
+      in
+      let counted label =
+        let n = Option.value ~default:0 (Icdb_util.Strtbl.find_opt reference label) in
+        Icdb_util.Strtbl.replace reference label (n + 1)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Piggyback (l, fresh) ->
+            let label = label_of l fresh in
+            Link.count_piggyback link ~label;
+            counted label
+          | Send (l, fresh) ->
+            let label = label_of l fresh in
+            Fiber.spawn eng (fun () -> Link.send link ~label ignore);
+            Sim.run eng;
+            counted label
+          | Reset_counts ->
+            Link.reset_counters link;
+            Icdb_util.Strtbl.reset reference);
+          let want =
+            Icdb_util.Strtbl.fold (fun l n acc -> (l, n) :: acc) reference []
+            |> List.sort compare
+          in
+          !slots_consistent && Link.messages_by_label link = want)
+        ops)
 
 (* --- Batcher --- *)
 
@@ -412,6 +504,7 @@ let () =
           Alcotest.test_case "one-way send" `Quick test_link_send_one_way;
           Alcotest.test_case "reset" `Quick test_link_reset;
           Alcotest.test_case "negative latency" `Quick test_link_negative_latency;
+          QCheck_alcotest.to_alcotest prop_label_slots;
         ] );
       ( "loss",
         [
@@ -421,6 +514,8 @@ let () =
           Alcotest.test_case "retry cap unreachable" `Quick
             test_link_retry_cap_unreachable;
           Alcotest.test_case "orphan eviction" `Quick test_link_orphan_eviction;
+          Alcotest.test_case "orphan eviction per gid" `Quick
+            test_link_orphan_eviction_per_gid;
           Alcotest.test_case "duplication deduped" `Quick test_link_duplication_deduped;
           Alcotest.test_case "validation" `Quick test_link_loss_validation;
         ] );

@@ -76,7 +76,7 @@ let test_fast_path_no_top_level () =
   Alcotest.(check (option int)) "s0 credited" (Some 105) (value fed "s0" "x");
   Alcotest.(check (option int)) "s1 debited" (Some 95) (value fed "s1" "x");
   Alcotest.(check int) "central decision log untouched" 0
-    (Hashtbl.length fed.Federation.decision_log);
+    (Icdb_util.Gid_store.Bool.length fed.Federation.decision_log);
   Alcotest.(check int) "no central log force" 0 (Federation.central_log_forces fed);
   Alcotest.(check int) "one shard decision" 1 (Federation.shard_decisions fed);
   Alcotest.(check int) "journal drained" 0 (Federation.total_journal_entries fed)
@@ -90,7 +90,7 @@ let test_cross_shard_top_level () =
   let outcome = in_sim eng (fun () -> Tpc.run fed (spec fed [ ("s0", 5); ("s2", -5) ])) in
   Alcotest.check outcome_testable "committed" Global.Committed outcome;
   Alcotest.(check int) "central decision logged" 1
-    (Hashtbl.length fed.Federation.decision_log);
+    (Icdb_util.Gid_store.Bool.length fed.Federation.decision_log);
   Alcotest.(check bool) "central force taken" true
     (Federation.central_log_forces fed >= 1);
   Alcotest.(check int) "journal drained" 0 (Federation.total_journal_entries fed)
