@@ -3,14 +3,12 @@
    Usage: diff.exe BASELINE FRESH [--max-ratio R]
 
    Compares the "kernels" (ms/run) and "alloc" (minor words/txn) sections of
-   two BENCH.json files — plus the throughput sections ("scaling",
-   "parallel", "sharding"), where the ratio direction flips: higher is
-   better, so a regression is fresh *below* base by the ratio. Prints every
+   two BENCH.json files — plus the "sharding" throughput section, where the
+   ratio direction flips: higher is better, so a regression is fresh
+   *below* base by the ratio — and the "paxos" cost rows. Prints every
    entry present in both files and flags regressions. Exit status is 1 only
    when something regressed by more than the ratio (default 2.0) — bench
    machines are noisy, so anything below that is a warning, not a failure.
-   The "parallel" rows are only compared when both recordings come from a
-   host with the same core count (the speedup regime differs otherwise).
    The parser is deliberately minimal: it reads the fixed format
    [write_bench_json] emits, not general JSON. *)
 
@@ -109,10 +107,10 @@ let alloc_section text =
 
 (* --- keyed row sections --------------------------------------------------
 
-   "scaling", "parallel" and "sharding" hold one-line row objects whose
-   identity is a combination of fields ("calendar" at 10^6 pending, 4
-   domains, 2 shards at 5% cross). [rows_section] finds every line starting
-   with [marker] and lets the caller build a (key, value) pair from it. *)
+   "sharding" and "paxos" hold one-line row objects whose identity is a
+   combination of fields (2 shards at 5% cross, a protocol at 3
+   acceptors). [rows_section] finds every line starting with [marker] and
+   lets the caller build a (key, value) pair from it. *)
 
 let str_field line name =
   let marker = "\"" ^ name ^ "\":\"" in
@@ -165,19 +163,6 @@ let rows_section text marker key_of =
   scan 0;
   List.rev !entries
 
-let scaling_section text =
-  rows_section text "{\"queue\":\"" (fun line ->
-      match (str_field line "queue", num_field line "pending", num_field line "events_per_sec")
-      with
-      | Some q, Some p, Some v -> Some (Printf.sprintf "%s/%.0f" q p, v)
-      | _ -> None)
-
-let parallel_section text =
-  rows_section text "{\"domains\":" (fun line ->
-      match (num_field line "domains", num_field line "events_per_sec") with
-      | Some d, Some v -> Some (Printf.sprintf "domains-%.0f" d, v)
-      | _ -> None)
-
 let sharding_section text =
   rows_section text "{\"shards\":" (fun line ->
       match (num_field line "shards", num_field line "cross_pct", num_field line "throughput")
@@ -205,9 +190,6 @@ let paxos_section text =
         | Some p, Some a, Some v -> Some (Printf.sprintf "%s-a%.0f-forces" p a, v)
         | _ -> None)
 
-let host_cores text =
-  List.assoc_opt "host_cores" (section text "\"parallel\": {")
-
 let () =
   let args = Array.to_list Sys.argv in
   let max_ratio = ref 2.0 in
@@ -226,7 +208,7 @@ let () =
   | [ baseline; fresh ] ->
     let base_text = read_file baseline and fresh_text = read_file fresh in
     let failures = ref 0 and warnings = ref 0 in
-    (* [higher_is_better] flips the ratio for the throughput sections: the
+    (* [higher_is_better] flips the ratio for the throughput section: the
        printed ratio is always "times worse", so > max_ratio fails either
        way. *)
     let compare_section ?(higher_is_better = false) label unit base fresh =
@@ -255,16 +237,6 @@ let () =
     compare_section "kernel" "ms/run" (section base_text "\"kernels\": {")
       (section fresh_text "\"kernels\": {");
     compare_section "alloc" "w/txn" (alloc_section base_text) (alloc_section fresh_text);
-    compare_section ~higher_is_better:true "scaling" "ev/s" (scaling_section base_text)
-      (scaling_section fresh_text);
-    (match (host_cores base_text, host_cores fresh_text) with
-    | Some b, Some f when b = f ->
-      compare_section ~higher_is_better:true "parallel" "ev/s" (parallel_section base_text)
-        (parallel_section fresh_text)
-    | Some b, Some f ->
-      Printf.printf "parallel   (skipped: host cores %.0f vs %.0f — different speedup regime)\n"
-        b f
-    | _ -> ());
     compare_section ~higher_is_better:true "sharding" "t/ktu" (sharding_section base_text)
       (sharding_section fresh_text);
     compare_section "paxos" "per-ct" (paxos_section base_text) (paxos_section fresh_text);

@@ -270,176 +270,6 @@ let print_paxos rows =
     rows;
   print_newline ()
 
-(* --- pure scheduler kernel ----------------------------------------------
-
-   The classic hold model on the event queue alone, no federation: prefill
-   [pending] events, then run a steady state where every executed event
-   schedules one successor (exponential inter-event gap), so the queue
-   holds ~[pending] events throughout. Run against both the calendar
-   engine and the pre-calendar binary heap (Engine_ref) so BENCH.json
-   records the baseline the calendar is judged against. [drain] pops the
-   queue to empty afterwards — the 10^7-pending entry uses it as a
-   completes-without-pathologies check, and its wall time is included in
-   the rate. *)
-
-module Sim = Icdb_sim.Engine
-module Sim_ref = Icdb_sim.Engine_ref
-module Rng = Icdb_util.Rng
-
-type scaling_row = {
-  s_queue : string;
-  s_pending : int;
-  s_events : int;
-  s_events_per_sec : float;
-}
-
-let hold_model ~pending ~ops ~drain schedule step =
-  let rng = Rng.create 42L in
-  (* untimed warmup steps after the prefill, plus a full collection before
-     the clock starts: the rows claim steady state, so the measured window
-     must not pay the prefill's garbage or first-touch faults *)
-  let warmup = min ops (max 10_000 (ops / 5)) in
-  let remaining = ref (ops + warmup) in
-  let rec thunk () =
-    if !remaining > 0 then begin
-      decr remaining;
-      schedule (Rng.exponential rng ~mean:100.0) thunk
-    end
-  in
-  for _ = 1 to pending do
-    schedule (Rng.exponential rng ~mean:100.0) thunk
-  done;
-  let w = ref warmup in
-  while !w > 0 && step () do
-    decr w
-  done;
-  Gc.full_major ();
-  let t0 = Sys.time () in
-  let executed = ref 0 in
-  while !remaining > 0 && step () do
-    incr executed
-  done;
-  if drain then
-    while step () do
-      incr executed
-    done;
-  let wall = Sys.time () -. t0 in
-  (!executed, wall)
-
-let scheduler_row queue ~pending ~ops ~drain =
-  let executed, wall =
-    match queue with
-    | `Calendar ->
-      let e = Sim.create () in
-      hold_model ~pending ~ops ~drain
-        (fun delay f -> ignore (Sim.schedule e ~delay f))
-        (fun () -> Sim.step e)
-    | `Heap_ref ->
-      let e = Sim_ref.create () in
-      hold_model ~pending ~ops ~drain
-        (fun delay f -> ignore (Sim_ref.schedule e ~delay f))
-        (fun () -> Sim_ref.step e)
-  in
-  {
-    s_queue = (match queue with `Calendar -> "calendar" | `Heap_ref -> "heap-ref");
-    s_pending = pending;
-    s_events = executed;
-    s_events_per_sec = (if wall > 0.0 then float_of_int executed /. wall else 0.0);
-  }
-
-let scheduler_snapshot ~smoke =
-  if smoke then
-    [
-      scheduler_row `Heap_ref ~pending:10_000 ~ops:100_000 ~drain:false;
-      scheduler_row `Calendar ~pending:10_000 ~ops:100_000 ~drain:false;
-      scheduler_row `Calendar ~pending:100_000 ~ops:100_000 ~drain:false;
-    ]
-  else
-    [
-      scheduler_row `Heap_ref ~pending:10_000 ~ops:1_000_000 ~drain:false;
-      scheduler_row `Heap_ref ~pending:1_000_000 ~ops:1_000_000 ~drain:false;
-      scheduler_row `Calendar ~pending:10_000 ~ops:1_000_000 ~drain:false;
-      scheduler_row `Calendar ~pending:1_000_000 ~ops:1_000_000 ~drain:false;
-      (* the acceptance run: 10^7 pending, full drain included in the rate *)
-      scheduler_row `Calendar ~pending:10_000_000 ~ops:1_000_000 ~drain:true;
-    ]
-
-(* --- partitioned-simulation scaling --------------------------------------
-
-   The conservative parallel scheduler ([--sim-domains]) on one fixed
-   federation workload at 1, 2 and 4 partitions: same seed, byte-identical
-   outcomes by construction, so the only thing that varies is the wall
-   clock of the transaction phase (measured with [Unix.gettimeofday] —
-   domains run concurrently, so CPU time would overstate multi-domain
-   rows). Speedup is relative to the sequential row. On a single-core host
-   the partitions time-slice one core and the speedup column documents the
-   coupling overhead instead of a win; [host_cores] in BENCH.json says
-   which regime a recording came from. *)
-
-type parallel_row = {
-  p_domains : int;
-  p_accounts : int;
-  p_events : int;
-  p_wall : float; (* transaction-phase wall seconds *)
-  p_events_per_sec : float;
-  p_speedup : float; (* sequential wall / this wall *)
-}
-
-let parallel_config ~smoke sim_domains =
-  {
-    Runner.default with
-    protocol = Protocol.Before;
-    n_sites = 4;
-    accounts_per_site = (if smoke then 2_500 else 25_000);
-    n_txns = (if smoke then 150 else 600);
-    concurrency = 16;
-    branches_per_txn = 2;
-    ops_per_branch = 2;
-    zipf_theta = 0.8;
-    use_increments = true;
-    sim_domains;
-  }
-
-let parallel_snapshot ~smoke =
-  let measure sim_domains =
-    let registry = Icdb_obs.Registry.create () in
-    let cfg = parallel_config ~smoke sim_domains in
-    let loaded = ref 0.0 in
-    let on_setup _engine _fed = loaded := Unix.gettimeofday () in
-    ignore (Runner.run ~registry ~on_setup cfg);
-    let wall = Unix.gettimeofday () -. !loaded in
-    let events =
-      Icdb_obs.Registry.count
-        (Icdb_obs.Registry.counter registry "icdb_sim_events_total")
-    in
-    (cfg.Runner.n_sites * cfg.Runner.accounts_per_site, events, wall)
-  in
-  let rows = List.map (fun d -> (d, measure d)) [ 1; 2; 4 ] in
-  let base_wall = match rows with (_, (_, _, w)) :: _ -> w | [] -> 0.0 in
-  List.map
-    (fun (d, (accounts, events, wall)) ->
-      {
-        p_domains = d;
-        p_accounts = accounts;
-        p_events = events;
-        p_wall = wall;
-        p_events_per_sec = (if wall > 0.0 then float_of_int events /. wall else 0.0);
-        p_speedup = (if wall > 0.0 then base_wall /. wall else 0.0);
-      })
-    rows
-
-let print_parallel rows =
-  Printf.printf
-    "Partitioned simulation (--sim-domains, identical outcomes; %d host cores)\n"
-    (Domain.recommended_domain_count ());
-  print_endline "--------------------------------------------------------------------------";
-  List.iter
-    (fun r ->
-      Printf.printf "%d domains %8d accounts %9d events %8.3f s %10.0f events/s %6.2fx\n"
-        r.p_domains r.p_accounts r.p_events r.p_wall r.p_events_per_sec r.p_speedup)
-    rows;
-  print_newline ()
-
 (* --- tracing overhead ----------------------------------------------------
 
    What does observability cost when it is on? One fixed 12k-transaction
@@ -573,20 +403,10 @@ let print_sharding rows =
     rows;
   print_newline ()
 
-let print_scaling rows =
-  print_endline "Scheduler hold-model (events/sec, steady state at N pending)";
-  print_endline "------------------------------------------------------------";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %10d pending %10d events %12.0f events/s\n" r.s_queue
-        r.s_pending r.s_events r.s_events_per_sec)
-    rows;
-  print_newline ()
-
 (* Machine-readable companion to the human table: kernel name -> ms/run plus
    the virtual-time phase-latency breakdown, so future changes have both a
    perf and a behavior trajectory to compare against. *)
-let write_bench_json path rows phases overhead alloc trace scaling parallel sharding paxos =
+let write_bench_json path rows phases overhead alloc trace sharding paxos =
   let esc = Icdb_obs.Export.json_escape in
   let oc = open_out path in
   output_string oc "{\n  \"kernels\": {\n";
@@ -637,28 +457,7 @@ let write_bench_json path rows phases overhead alloc trace scaling parallel shar
         (esc r.t_mode) r.t_events r.t_wall r.t_overhead_pct
         (if i < last then "," else ""))
     trace;
-  output_string oc "  ],\n  \"scaling\": [\n";
-  let last = List.length scaling - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"queue\":\"%s\",\"pending\":%d,\"events\":%d,\"events_per_sec\":%.0f}%s\n"
-        (esc r.s_queue) r.s_pending r.s_events r.s_events_per_sec
-        (if i < last then "," else ""))
-    scaling;
-  (* host_cores disambiguates the rows: on a single-core host the speedup
-     column records coupling overhead, not a parallel win. *)
-  Printf.fprintf oc "  ],\n  \"parallel\": {\n    \"host_cores\": %d,\n    \"rows\": [\n"
-    (Domain.recommended_domain_count ());
-  let last = List.length parallel - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "      {\"domains\":%d,\"accounts\":%d,\"events\":%d,\"wall_s\":%.4f,\"events_per_sec\":%.0f,\"speedup\":%.3f}%s\n"
-        r.p_domains r.p_accounts r.p_events r.p_wall r.p_events_per_sec r.p_speedup
-        (if i < last then "," else ""))
-    parallel;
-  output_string oc "    ]\n  },\n  \"sharding\": [\n";
+  output_string oc "  ],\n  \"sharding\": [\n";
   let last = List.length sharding - 1 in
   List.iteri
     (fun i (r : Sharding.row) ->
@@ -711,14 +510,10 @@ let () =
   print_alloc alloc;
   let trace = trace_overhead_snapshot ~smoke in
   print_trace_overhead (if smoke then 2_000 else 12_000) trace;
-  let scaling = scheduler_snapshot ~smoke in
-  print_scaling scaling;
-  let parallel = parallel_snapshot ~smoke in
-  print_parallel parallel;
   let sharding = sharding_snapshot ~smoke in
   print_sharding sharding;
   let paxos = paxos_snapshot () in
   print_paxos paxos;
   write_bench_json "BENCH.json" rows (phase_snapshot ()) (overhead_snapshot ()) alloc
-    trace scaling parallel sharding paxos;
+    trace sharding paxos;
   if not smoke then print_string (Experiments.run_all ~jobs:(jobs ()) ())

@@ -88,40 +88,20 @@ let exp_cmd =
             "With $(b,s1) and $(b,--trace-out), keep a seeded head-sampled fraction \
              $(docv) of transactions in the streamed traces. Default 0.01.")
   in
-  let sim_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "sim-domains" ] ~docv:"N"
-          ~doc:
-            "Partition each simulation over $(docv) domains (central system on \
-             partition 0, sites round-robin over the rest). Deterministic: every \
-             report column except the wall-clock ones is byte-identical for any \
-             $(docv). Applies to $(b,s1) and $(b,r1).")
-  in
-  let run id jobs smoke trace_out trace_sample sim_domains =
-    (* Core budget is shared between experiment-level parallelism (-j) and
-       within-run partitioning (--sim-domains): scale the job count down so
-       jobs x sim_domains stays at the requested width (see Icdb_util.Pool).
-       The division clamps at one job — never a zero-width pool — and says
-       so when the requested budget could not be honored. *)
-    if jobs > 1 && sim_domains > 1 && jobs / sim_domains < 1 then
-      Printf.eprintf
-        "warning: core budget -j %d < --sim-domains %d; running 1 job of %d domains\n%!"
-        jobs sim_domains sim_domains;
-    let jobs = max 1 (jobs / max 1 sim_domains) in
+  let run id jobs smoke trace_out trace_sample =
     if id = "all" then begin
       print_string (Experiments.run_all ~jobs ());
       print_newline ();
-      ignore (Campaign.experiment_r1 ~sim_domains ())
+      ignore (Campaign.experiment_r1 ())
     end
-    else if id = "r1" then ignore (Campaign.experiment_r1 ~sim_domains ())
+    else if id = "r1" then ignore (Campaign.experiment_r1 ())
     else if id = "s1" then begin
       let trace =
         Option.map
           (fun base -> { Scaling.ts_rate = trace_sample; ts_base = base })
           trace_out
       in
-      print_string (Scaling.run_s1 ~smoke ?trace ~sim_domains ())
+      print_string (Scaling.run_s1 ~smoke ?trace ())
     end
     else if id = "s2" then print_string (Sharding.run_s2 ~smoke ())
     else if id = "a1" then print_string (Icdb_workload.Availability.run_a1 ~smoke ())
@@ -133,7 +113,7 @@ let exp_cmd =
         exit 1
   in
   Cmd.v (Cmd.info "exp" ~doc)
-    Term.(const run $ id $ jobs $ smoke $ trace_out $ trace_sample $ sim_domains)
+    Term.(const run $ id $ jobs $ smoke $ trace_out $ trace_sample)
 
 let report_to_string ?(central_gc = false) ?(sharded = false) ?(paxos = false)
     (r : Runner.report) =
@@ -267,17 +247,6 @@ let run_cmd =
       & info [ "prom-out" ] ~docv:"FILE"
           ~doc:"Write the metrics registry in Prometheus text exposition to $(docv).")
   in
-  let sim_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "sim-domains" ] ~docv:"N"
-          ~doc:
-            "Partition the simulation over $(docv) OCaml domains: the central system \
-             on partition 0, sites round-robin over the rest. The report, traces and \
-             metrics are byte-identical for any $(docv) (conservative synchronization \
-             executes events in global timestamp order); 1 runs the plain sequential \
-             engine.")
-  in
   let shards =
     Arg.(
       value & opt int 1
@@ -321,7 +290,7 @@ let run_cmd =
   let run protocol n_txns n_sites concurrency seed p_intended_abort p_spontaneous crash_rate
       zipf_theta message_loss group_commit_window msg_batch_window central_gc_window
       mlt_action_retries trace_out trace_stream trace_sample metrics_out prom_out
-      sim_domains shards cross_shard_fraction acceptors decision_force_time =
+      shards cross_shard_fraction acceptors decision_force_time =
     let registry = Registry.create () in
     let tracer =
       (* Clock re-wired onto the run's engine by [Runner.run]. *)
@@ -362,7 +331,6 @@ let run_cmd =
           msg_batch_window;
           central_gc_window;
           mlt_action_retries;
-          sim_domains;
           shards;
           cross_shard_fraction;
           acceptors;
@@ -399,8 +367,8 @@ let run_cmd =
     Term.(
       const run $ protocol $ txns $ sites $ concurrency $ seed $ p_intended $ p_spont
       $ crash_rate $ theta $ loss $ gc_window $ batch_window $ central_gc $ retries
-      $ trace_out $ trace_stream $ trace_sample $ metrics_out $ prom_out $ sim_domains
-      $ shards $ cross_shard $ acceptors $ decision_force_time)
+      $ trace_out $ trace_stream $ trace_sample $ metrics_out $ prom_out $ shards
+      $ cross_shard $ acceptors $ decision_force_time)
 
 let trace_cmd =
   let doc =
@@ -606,15 +574,6 @@ let chaos_cmd =
              events is written to $(docv)-<protocol>-<n>.txt (only written when \
              there are violations).")
   in
-  let sim_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "sim-domains" ] ~docv:"N"
-          ~doc:
-            "Partition every campaign run over $(docv) OCaml domains \
-             (conservative synchronization). Outcomes, the stats table and the \
-             trips summary are byte-identical for any $(docv).")
-  in
   let shards =
     Arg.(
       value & opt int 1
@@ -636,14 +595,13 @@ let chaos_cmd =
              restart recovery, and the stats table gains an acceptor-crash column. \
              1 (default) reproduces the single-coordinator campaign byte for byte.")
   in
-  let run protocol plans seed shrink reproducers_out flight_out sim_domains shards
-      acceptors =
+  let run protocol plans seed shrink reproducers_out flight_out shards acceptors =
     let protocols =
       match protocol with Some p -> [ p ] | None -> Protocol.all
     in
     let stats =
-      Campaign.run_campaign ~shrink_failures:shrink ~seed ~sim_domains ~shards
-        ~acceptors ~plans protocols
+      Campaign.run_campaign ~shrink_failures:shrink ~seed ~shards ~acceptors ~plans
+        protocols
     in
     Icdb_util.Table.print (Campaign.stats_table ~plans ~seed stats);
     let trips = Campaign.trips_summary stats in
@@ -692,7 +650,7 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ protocol $ plans $ seed $ shrink $ reproducers_out $ flight_out
-      $ sim_domains $ shards $ acceptors)
+      $ shards $ acceptors)
 
 let () =
   let doc = "atomic commitment for integrated database systems (Muth & Rakow, ICDE 1991)" in

@@ -51,10 +51,8 @@ let run (fed : Federation.t) (spec : Global.spec) =
           fanout fed
             (List.map
                (fun (b : Global.branch) ->
-                 ( b.site,
-                   fun () ->
-                     (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:marker_op)
-                 ))
+                 (fun () ->
+                     (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:marker_op)))
                spec.branches))
     in
     fed.central_fail ~gid "executed";
@@ -65,9 +63,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
       fanout fed
         (List.map
            (fun (result : Global.branch * exec_status) ->
-             let b, _ = result in
-             ( b.site,
-               fun () ->
+             (fun () ->
              let b, status = result in
              let site = Federation.site fed b.site in
              let db = Site.db site in
@@ -111,8 +107,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                 (function
                   | (b : Global.branch), Ready txn ->
                     Some
-                      ( b.site,
-                        fun () ->
+                      (fun () ->
                           let site = Federation.site fed b.site in
                           let db = Site.db site in
                           if decide_commit then
@@ -133,7 +128,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                               (fun () ->
                                 Db.abort db txn;
                                 Trace.record_gid fed.trace ~actor:b.site ~gid "aborted";
-                                "finished") )
+                                "finished"))
                   | _, No _ -> None)
                 votes)));
     Action_log.remove fed.redo_log ~gid;

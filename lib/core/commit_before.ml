@@ -53,8 +53,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
       fanout fed
         (List.map
            (fun (b : Global.branch) ->
-             ( b.site,
-               fun () ->
+             (fun () ->
              let site = Federation.site fed b.site in
              let db = Site.db site in
              Link.rpc ~gid (Site.link site) ~label:"execute" (fun () ->
@@ -101,8 +100,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                            ( b,
                              Locally_aborted
                                (Global.Local_abort { site = b.site; reason = r }) ) )
-                     end))
-             ))
+                     end))))
            spec.branches)
     in
     fed.central_fail ~gid "executed";
@@ -115,14 +113,13 @@ let run (fed : Federation.t) (spec : Global.spec) =
         (List.map
            (fun (result : Global.branch * local_state) ->
              let b, st = result in
-             ( b.site,
-               fun () ->
+             (fun () ->
                  let site = Federation.site fed b.site in
                  Link.rpc ~gid (Site.link site) ~label:"prepare" (fun () ->
                      Site.await_up site;
                      match st with
                      | Locally_committed -> ("committed", (b, st))
-                     | Locally_aborted _ -> ("aborted", (b, st))) ))
+                     | Locally_aborted _ -> ("aborted", (b, st)))))
            results)
     in
     let abort_cause =
@@ -145,12 +142,11 @@ let run (fed : Federation.t) (spec : Global.spec) =
               (function
                 | (b : Global.branch), Locally_committed ->
                   Some
-                    ( b.site,
-                      fun () ->
+                    (fun () ->
                         decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
                             undo_until_done fed ~gid ~obs b;
                             Trace.record_gid fed.trace ~actor:b.site ~gid "undone";
-                            "finished") )
+                            "finished"))
                 | _, Locally_aborted _ -> None)
               states));
     Action_log.remove fed.undo_log ~gid;

@@ -59,8 +59,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
       fanout fed
         (List.map
            (fun (b : Global.branch) ->
-             ( b.site,
-               fun () ->
+             (fun () ->
              let site = Federation.site fed b.site in
              let db = Site.db site in
              if prepare_capable fed b.site then
@@ -108,8 +107,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                                 ( "execute-failed",
                                   Failed_leg
                                     (Global.Local_abort { site = b.site; reason = r }) )
-                            end))) )
-             ))
+                            end))))))
            spec.branches)
     in
     fed.central_fail ~gid "executed";
@@ -120,9 +118,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
       fanout fed
         (List.map
            (fun (result : Global.branch * [ `Tpc of exec_status | `Before of leg ]) ->
-             let b, _ = result in
-             ( b.site,
-               fun () ->
+             (fun () ->
              let b, progress = result in
              let site = Federation.site fed b.site in
              let db = Site.db site in
@@ -176,8 +172,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                 (function
                   | (b : Global.branch), Prepared_leg txn ->
                     Some
-                      ( b.site,
-                        fun () ->
+                      (fun () ->
                           let label = if decide_commit then "commit" else "abort" in
                           decision_rpc fed ~gid ~site:b.site ~label (fun () ->
                               resolve_prepared_durably fed ~site:b.site
@@ -189,15 +184,14 @@ let run (fed : Federation.t) (spec : Global.spec) =
                               end
                               else
                                 Trace.record_gid fed.trace ~actor:b.site ~gid "aborted";
-                              "finished") )
+                              "finished"))
                   | b, Committed_leg when not decide_commit ->
                     Some
-                      ( b.site,
-                        fun () ->
+                      (fun () ->
                           decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
                               undo_leg fed ~gid ~obs b;
                               Trace.record_gid fed.trace ~actor:b.site ~gid "undone";
-                              "finished") )
+                              "finished"))
                   | _, (Committed_leg | Failed_leg _) -> None)
                 legs)));
     Action_log.remove fed.undo_log ~gid;

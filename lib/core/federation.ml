@@ -58,9 +58,6 @@ type shard = {
 
 type t = {
   engine : Sim.t;
-  engines : Sim.t array;
-      (* distinct engines in partition order, central's first; length 1
-         unless the simulation is partitioned over domains *)
   sites : (string * Site.t) list;
   by_name : Site.t Strtbl.t;
   syms : Symbol.table;
@@ -277,34 +274,7 @@ let install_observability t =
         (lock_handler t ~table:(sh.sh_name ^ "-l1") ~names:t.syms))
     t.shards;
   let sim_events = Registry.counter t.registry "icdb_sim_events_total" in
-  (* Every partition engine feeds the same counters — totals aggregate over
-     the whole simulation regardless of how it is partitioned. Execution is
-     serialized across partitions, so plain increments are race-free. *)
-  Array.iter
-    (fun eng ->
-      Sim.set_observer eng (fun () -> Registry.inc sim_events);
-      (* Calendar-mode engine metrics are materialized on the first rebuild:
-         seed-scale runs never cross the activation threshold, so creating
-         them lazily keeps default-config metric snapshots byte-identical to
-         pre-calendar ones. The counter is seeded with the events this
-         engine already executed so it reads as a true lifetime total. *)
-      let engine_events = ref None in
-      Sim.set_resize_hook eng (fun ~buckets ~width:_ ~events ->
-          let occupancy =
-            Registry.histogram t.registry "icdb_engine_bucket_occupancy"
-          in
-          Registry.observe occupancy
-            (float_of_int events /. float_of_int buckets);
-          match !engine_events with
-          | Some _ -> ()
-          | None ->
-            let c = Registry.counter t.registry "icdb_engine_events_total" in
-            Registry.inc ~by:(Sim.executed eng) c;
-            engine_events := Some c;
-            Sim.set_observer eng (fun () ->
-                Registry.inc sim_events;
-                Registry.inc c)))
-    t.engines
+  Sim.set_observer t.engine (fun () -> Registry.inc sim_events)
 
 (* A window of 0 (or less) means "off": the feature must be byte-invisible
    unless positively enabled, so reports with the default config reproduce
@@ -313,7 +283,7 @@ let normalize_window = function
   | Some w when w > 0.0 -> Some w
   | Some _ | None -> None
 
-let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
+let create engine ?(latency = 1.0) ?(loss = 0.0)
     ?(global_lock_timeout = Some 200.0) ?(conflict = default_conflict)
     ?registry ?tracer ?(msg_batch_window = None) ?(central_gc_window = None)
     ?(shards = 1) ?(decision_force_time = None) configs =
@@ -329,33 +299,14 @@ let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
     | None -> Tracer.create ~clock:(fun () -> Sim.now engine) ()
   in
   let metrics = Metrics.create registry in
-  (* Per-site engine placement: under a partitioned simulation each site
-     lives on its partition's engine; the central structures (global CC, L1,
-     trace, batchers) stay on [engine]. Placement never changes the global
-     (time, seq) execution order, only which domain runs an event. *)
-  let site_engines =
-    match site_engines with
-    | None -> Array.make (List.length configs) engine
-    | Some a ->
-      if Array.length a <> List.length configs then
-        invalid_arg "Federation.create: site_engines length <> #configs";
-      a
-  in
   let sites =
-    List.mapi
-      (fun i (config : Db.config) ->
-        let site = Site.create site_engines.(i) ~latency ~loss config in
+    List.map
+      (fun (config : Db.config) ->
+        let site = Site.create engine ~latency ~loss config in
         Db.set_hold_time_hook (Site.db site) (fun ~obj:_ ~duration ->
             Metrics.observe_hold_time metrics duration);
         (config.site_name, site))
       configs
-  in
-  let engines =
-    let distinct = ref [ engine ] in
-    Array.iter
-      (fun e -> if not (List.memq e !distinct) then distinct := e :: !distinct)
-      site_engines;
-    Array.of_list (List.rev !distinct)
   in
   let by_name = Strtbl.create 16 in
   List.iter (fun (name, site) -> Strtbl.replace by_name name site) sites;
@@ -410,7 +361,6 @@ let create engine ?site_engines ?(latency = 1.0) ?(loss = 0.0)
   let t =
     {
       engine;
-      engines;
       sites;
       by_name;
       syms;
@@ -696,19 +646,18 @@ let shard_record_decision _t sh ~gid ~commit =
    pushes it when the coordinator comes back ({!Central_recovery}). *)
 let shard_decide_round t ~gid ~commit route =
   ignore
-    (Fiber.all_on
+    (Fiber.all t.engine
        (List.map
           (fun s ->
             let sh = t.shards.(s) in
             let coord = Strtbl.find t.by_name sh.sh_coord in
-            ( Site.engine coord,
-              fun () ->
-                try
-                  Link.rpc ~gid (Site.link coord) ~label:"shard-decide" (fun () ->
-                      shard_record_decision t sh ~gid ~commit;
-                      shard_force t sh;
-                      ("shard-decided", ()))
-                with Link.Unreachable _ -> () ))
+            fun () ->
+              try
+                Link.rpc ~gid (Site.link coord) ~label:"shard-decide" (fun () ->
+                    shard_record_decision t sh ~gid ~commit;
+                    shard_force t sh;
+                    ("shard-decided", ()))
+              with Link.Unreachable _ -> ())
           (Array.to_list route)))
 
 (* Durability step for a freshly recorded decision: the coordinator's own

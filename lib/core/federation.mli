@@ -58,11 +58,6 @@ type shard = {
 
 type t = {
   engine : Icdb_sim.Engine.t;
-  engines : Icdb_sim.Engine.t array;
-      (** the distinct engines the federation's sites are spread over,
-          central's ([engine]) first; length 1 unless [site_engines] placed
-          sites on partition engines. Drain checks must sum over all of
-          them. *)
   sites : (string * Icdb_net.Site.t) list;  (** in creation order *)
   by_name : Icdb_net.Site.t Icdb_util.Strtbl.t;
   syms : Icdb_util.Symbol.table;
@@ -170,13 +165,6 @@ type t = {
     non-positive window as [None], and when off add no metrics and no
     behavior change — default-config runs are byte-identical to before.
 
-    [site_engines] (default: every site on the central engine) places site
-    [i] on [site_engines.(i)] for a domain-partitioned simulation; the
-    engines must all be coupled to the same {!Icdb_sim.Parallel} scheduler.
-    Placement is exactness-neutral: events execute in global (time, seq)
-    order no matter which engine holds them. Raises [Invalid_argument] if
-    the array length differs from the config count.
-
     [shards] (default 1) groups the sites into that many contiguous
     balanced shards, each coordinated by its first site; 1 builds no shard
     state at all and reproduces unsharded runs byte-for-byte.
@@ -186,7 +174,6 @@ type t = {
     [Invalid_argument] when [shards] exceeds the site count. *)
 val create :
   Icdb_sim.Engine.t ->
-  ?site_engines:Icdb_sim.Engine.t array ->
   ?latency:float ->
   ?loss:float ->
   ?global_lock_timeout:float option ->

@@ -39,8 +39,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
           fanout fed
             (List.map
                (fun (b : Global.branch) ->
-                 ( b.site,
-                   fun () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[]) ))
+                 (fun () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[])))
                spec.branches))
     in
     fed.central_fail ~gid "executed";
@@ -50,9 +49,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
       fanout fed
         (List.map
            (fun (result : Global.branch * exec_status) ->
-             let b, _ = result in
-             ( b.site,
-               fun () ->
+             (fun () ->
              let b, status = result in
              let site = Federation.site fed b.site in
              let db = Site.db site in
@@ -83,8 +80,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                        ("ready", (b, Ready txn))
                      | Error r ->
                        ( "abort-vote",
-                         (b, No (Global.Local_abort { site = b.site; reason = r })) ))
-             ))
+                         (b, No (Global.Local_abort { site = b.site; reason = r })) ))))
            results)
     in
     let abort_cause =
@@ -108,15 +104,14 @@ let run (fed : Federation.t) (spec : Global.spec) =
               (function
                 | (b : Global.branch), Ready txn ->
                   Some
-                    ( b.site,
-                      fun () ->
+                    (fun () ->
                         decision_rpc fed ~gid ~site:b.site ~label:"commit" (fun () ->
                             resolve_prepared_durably fed ~site:b.site
                               ~txn_id:(Db.txn_id txn) ~commit:true;
                             graph_local fed ~gid ~site:b.site ~compensation:false
                               txn;
                             Trace.record_gid fed.trace ~actor:b.site ~gid "committed";
-                            "finished") )
+                            "finished"))
                 | _, (Read_only | No _) -> None)
               votes))
     end
@@ -130,13 +125,12 @@ let run (fed : Federation.t) (spec : Global.spec) =
                   (function
                     | (b : Global.branch), Ready txn ->
                       Some
-                        ( b.site,
-                          fun () ->
+                        (fun () ->
                             decision_send fed ~gid ~site:b.site ~label:"abort"
                               (fun () ->
                                 resolve_prepared_durably fed ~site:b.site
                                   ~txn_id:(Db.txn_id txn) ~commit:false;
-                                Trace.record_gid fed.trace ~actor:b.site ~gid "aborted") )
+                                Trace.record_gid fed.trace ~actor:b.site ~gid "aborted"))
                     | _, (Read_only | No _) -> None)
                   votes)));
     Federation.journal_close fed ~gid;

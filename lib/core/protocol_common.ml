@@ -65,17 +65,7 @@ let acquire_global_locks (fed : Federation.t) ~gid (spec : Global.spec) =
 let release_global_locks (fed : Federation.t) ~gid =
   Federation.release_cc_owner fed ~gid
 
-(* Per-site fan-out: each branch's fiber is spawned on its site's engine, so
-   in a domain-partitioned simulation the branch bodies run on the partition
-   owning the site. Placement is exactness-neutral — execution follows the
-   global (time, seq) order regardless of which engine holds an event — and
-   with every site on the central engine (the unpartitioned case) this is
-   exactly [Fiber.all]. *)
-let fanout (fed : Federation.t) pairs =
-  Fiber.all_on
-    (List.map
-       (fun (site, f) -> (Site.engine (Federation.site fed site), f))
-       pairs)
+let fanout (fed : Federation.t) thunks = Fiber.all fed.engine thunks
 
 (* --- span-level observability -------------------------------------------
 

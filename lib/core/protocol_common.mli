@@ -26,13 +26,11 @@ val acquire_global_locks : Federation.t -> gid:int -> Global.spec -> bool
 
 val release_global_locks : Federation.t -> gid:int -> unit
 
-(** [fanout fed pairs] runs each [(site, thunk)] pair as a fiber on that
-    site's engine and waits for all, preserving input order — the protocols'
-    per-branch fan-out. On a domain-partitioned simulation this places each
-    branch body on the partition owning its site; unpartitioned it is
-    exactly [Fiber.all]. Same result-order and first-error semantics as
+(** [fanout fed thunks] runs each thunk as a fiber on the federation's
+    engine and waits for all, preserving input order — the protocols'
+    per-branch fan-out. Same result-order and first-error semantics as
     {!Icdb_sim.Fiber.all}. *)
-val fanout : Federation.t -> (string * (unit -> 'a)) list -> 'a list
+val fanout : Federation.t -> (unit -> 'a) list -> 'a list
 
 (** {2 Span-level observability}
 

@@ -228,50 +228,54 @@ let dirty_reads t =
   let found = ref [] in
   Strtbl.iter
     (fun site hist ->
-      let ordered = Array.of_list (List.rev !hist) in
-      let n = Array.length ordered in
-      (* window_end.(i): index of gid's first compensation after i, or n. *)
-      let window_end = Array.make n n in
-      let next_comp = Hashtbl.create 16 in
-      for i = n - 1 downto 0 do
-        let l = ordered.(i) in
-        window_end.(i) <- Option.value ~default:n (Hashtbl.find_opt next_comp l.gid);
-        if l.compensation then Hashtbl.replace next_comp l.gid i
-      done;
-      (* key -> open dirty windows (writer position, gid, kind, window end) *)
-      let open_windows : (Symbol.t, (int * int * kind * int) list ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let pairs = Hashtbl.create 16 in
-      for p = 0 to n - 1 do
-        let l = ordered.(p) in
-        if not l.compensation then begin
-          let committed = committed_of t l.gid in
-          Array.iter
-            (fun (key, kind) ->
-              match Hashtbl.find_opt open_windows key with
-              | None ->
-                if (not committed) && kind <> KRead then
-                  Hashtbl.replace open_windows key (ref [ (p, l.gid, kind, window_end.(p)) ])
-              | Some cell ->
-                cell := List.filter (fun (_, _, _, wend) -> wend > p) !cell;
-                if committed then
-                  List.iter
-                    (fun (i, wgid, wkind, _) ->
-                      if wgid <> l.gid && kinds_conflict wkind kind then
-                        Hashtbl.replace pairs (i, p) ())
-                    !cell
-                else if kind <> KRead then cell := (p, l.gid, kind, window_end.(p)) :: !cell)
-            l.kinds
-        end
-      done;
-      let site_pairs = List.sort compare (Hashtbl.fold (fun ij () acc -> ij :: acc) pairs []) in
-      List.iter
-        (fun (i, j) ->
-          found :=
-            Dirty_read { reader = ordered.(j).gid; aborted_writer = ordered.(i).gid; site }
-            :: !found)
-        site_pairs)
+      (* Only an aborted global's local opens a dirty window, so a site
+         without one has nothing to report. *)
+      if List.exists (fun l -> not (l.compensation || committed_of t l.gid)) !hist then begin
+        let ordered = Array.of_list (List.rev !hist) in
+        let n = Array.length ordered in
+        (* window_end.(i): index of gid's first compensation after i, or n. *)
+        let window_end = Array.make n n in
+        let next_comp = Hashtbl.create 16 in
+        for i = n - 1 downto 0 do
+          let l = ordered.(i) in
+          window_end.(i) <- Option.value ~default:n (Hashtbl.find_opt next_comp l.gid);
+          if l.compensation then Hashtbl.replace next_comp l.gid i
+        done;
+        (* key -> open dirty windows (writer position, gid, kind, window end) *)
+        let open_windows : (Symbol.t, (int * int * kind * int) list ref) Hashtbl.t =
+          Hashtbl.create 64
+        in
+        let pairs = Hashtbl.create 16 in
+        for p = 0 to n - 1 do
+          let l = ordered.(p) in
+          if not l.compensation then begin
+            let committed = committed_of t l.gid in
+            Array.iter
+              (fun (key, kind) ->
+                match Hashtbl.find_opt open_windows key with
+                | None ->
+                  if (not committed) && kind <> KRead then
+                    Hashtbl.replace open_windows key (ref [ (p, l.gid, kind, window_end.(p)) ])
+                | Some cell ->
+                  cell := List.filter (fun (_, _, _, wend) -> wend > p) !cell;
+                  if committed then
+                    List.iter
+                      (fun (i, wgid, wkind, _) ->
+                        if wgid <> l.gid && kinds_conflict wkind kind then
+                          Hashtbl.replace pairs (i, p) ())
+                      !cell
+                  else if kind <> KRead then cell := (p, l.gid, kind, window_end.(p)) :: !cell)
+              l.kinds
+          end
+        done;
+        let site_pairs = List.sort compare (Hashtbl.fold (fun ij () acc -> ij :: acc) pairs []) in
+        List.iter
+          (fun (i, j) ->
+            found :=
+              Dirty_read { reader = ordered.(j).gid; aborted_writer = ordered.(i).gid; site }
+              :: !found)
+          site_pairs
+      end)
     t.histories;
   List.rev !found
 

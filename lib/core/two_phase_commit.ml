@@ -36,8 +36,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
           fanout fed
             (List.map
                (fun (b : Global.branch) ->
-                 ( b.site,
-                   fun () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[]) ))
+                 (fun () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[])))
                spec.branches))
     in
     fed.central_fail ~gid "executed";
@@ -62,13 +61,12 @@ let run (fed : Federation.t) (spec : Global.spec) =
                   (function
                     | (b : Global.branch), Exec_ok txn ->
                       Some
-                        ( b.site,
-                          fun () ->
+                        (fun () ->
                             let site = Federation.site fed b.site in
                             decision_rpc fed ~gid ~site:b.site ~label:"abort"
                               (fun () ->
                                 Db.abort (Site.db site) txn;
-                                "finished") )
+                                "finished"))
                     | _, Exec_failed _ -> None)
                   results)));
       Federation.journal_close fed ~gid;
@@ -81,9 +79,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
             fanout fed
               (List.map
                  (fun (result : Global.branch * exec_status) ->
-                   let b, _ = result in
-                   ( b.site,
-                     fun () ->
+                   (fun () ->
                    let b, status = result in
                    let site = Federation.site fed b.site in
                    let db = Site.db site in
@@ -104,7 +100,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                            | Error r ->
                              ( "abort-vote",
                                (b, No (Global.Local_abort { site = b.site; reason = r }))
-                             )) ))
+                             ))))
                  results))
       in
       let abort_cause =
@@ -127,8 +123,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                   (function
                     | (b : Global.branch), Ready ->
                       Some
-                        ( b.site,
-                          fun () ->
+                        (fun () ->
                             let txn =
                               List.find_map
                                 (function
@@ -148,7 +143,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                                 end
                                 else
                                   Trace.record_gid fed.trace ~actor:b.site ~gid "aborted";
-                                "finished") )
+                                "finished"))
                     | _, No _ -> None)
                   votes)));
       Federation.journal_close fed ~gid;

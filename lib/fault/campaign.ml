@@ -27,12 +27,11 @@ let horizon = 300.0
    balance is an atomicity invariant, a healthy intended-abort rate so the
    compensation paths run, and short local lock waits so in-doubt locals
    stall neighbours briefly instead of forever. *)
-let base_config ?(sim_domains = 1) ?(shards = 1) ?(acceptors = 1) protocol ~seed =
+let base_config ?(shards = 1) ?(acceptors = 1) protocol ~seed =
   {
     Runner.default with
     protocol;
     seed;
-    sim_domains;
     shards;
     acceptors;
     (* four sites shard evenly into 2 or 4; a healthy cross-shard rate so
@@ -310,10 +309,8 @@ let check_invariants (fed : Federation.t) (report : Runner.report) ~protocol ~ki
          });
   (* After the run and the recovery drains, the event queue must be truly
      empty: no live timers left behind by a crashed fiber, and no cancelled
-     carcasses the queue failed to compact away. Summed over every
-     partition engine — a partitioned run must drain all of them. *)
-  let sum_engines f = Array.fold_left (fun acc e -> acc + f e) 0 fed.engines in
-  let live = sum_engines Sim.pending and stored = sum_engines Sim.stored in
+     carcasses the queue failed to compact away. *)
+  let live = Sim.pending fed.engine and stored = Sim.stored fed.engine in
   if live <> 0 || stored <> 0 then push (Engine_not_drained { live; stored });
   (match recover2 with
   | Some s2 when not (zero_summary s2) ->
@@ -337,9 +334,9 @@ type outcome = {
    forensic read, negligible memory. *)
 let flight_capacity = 512
 
-let run_plan ?registry ?(seed = 42L) ?sim_domains ?shards ?acceptors ?extra_setup
-    ~protocol (plan : Plan.t) =
-  let cfg = base_config ?sim_domains ?shards ?acceptors protocol ~seed in
+let run_plan ?registry ?(seed = 42L) ?shards ?acceptors ?extra_setup ~protocol
+    (plan : Plan.t) =
+  let cfg = base_config ?shards ?acceptors protocol ~seed in
   let mlt = not (Protocol.is_flat protocol) in
   let killed = ref 0 in
   let fed_ref = ref None in
@@ -438,9 +435,9 @@ let run_plan ?registry ?(seed = 42L) ?sim_domains ?shards ?acceptors ?extra_setu
 
 (* Greedy minimisation: drop one event at a time as long as the plan still
    violates; fixpoint is a locally minimal reproducer. *)
-let shrink ?(seed = 42L) ?sim_domains ?shards ?acceptors ~protocol (plan : Plan.t) =
+let shrink ?(seed = 42L) ?shards ?acceptors ~protocol (plan : Plan.t) =
   let violates p =
-    (run_plan ~seed ?sim_domains ?shards ?acceptors ~protocol p).violations <> []
+    (run_plan ~seed ?shards ?acceptors ~protocol p).violations <> []
   in
   let rec go plan =
     let n = Plan.length plan in
@@ -467,9 +464,9 @@ type protocol_stats = {
 
 let plan_seed ~seed i = Int64.add seed (Int64.mul 1000003L (Int64.of_int i))
 
-let run_protocol ?(shrink_failures = false) ?(seed = 42L) ?sim_domains ?shards
-    ?acceptors ~plans protocol =
-  let cfg = base_config ?sim_domains ?shards ?acceptors protocol ~seed in
+let run_protocol ?(shrink_failures = false) ?(seed = 42L) ?shards ?acceptors ~plans
+    protocol =
+  let cfg = base_config ?shards ?acceptors protocol ~seed in
   let sharded = match shards with Some s -> s > 1 | None -> false in
   let paxos = match acceptors with Some a -> a > 1 | None -> false in
   let classes =
@@ -501,13 +498,13 @@ let run_protocol ?(shrink_failures = false) ?(seed = 42L) ?sim_domains ?shards
     in
     events := !events + Plan.length plan;
     List.iter (fun e -> incr (List.assoc (Plan.classify e) by_class)) plan.events;
-    let outcome = run_plan ~seed ?sim_domains ?shards ?acceptors ~protocol plan in
+    let outcome = run_plan ~seed ?shards ?acceptors ~protocol plan in
     tally_trips outcome;
     if outcome.violations <> [] then begin
       let outcome =
         if shrink_failures then
-          run_plan ~seed ?sim_domains ?shards ?acceptors ~protocol
-            (shrink ~seed ?sim_domains ?shards ?acceptors ~protocol plan)
+          run_plan ~seed ?shards ?acceptors ~protocol
+            (shrink ~seed ?shards ?acceptors ~protocol plan)
         else outcome
       in
       failures := outcome :: !failures
@@ -524,11 +521,8 @@ let run_protocol ?(shrink_failures = false) ?(seed = 42L) ?sim_domains ?shards
       |> List.sort compare;
   }
 
-let run_campaign ?shrink_failures ?seed ?sim_domains ?shards ?acceptors ~plans
-    protocols =
-  List.map
-    (run_protocol ?shrink_failures ?seed ?sim_domains ?shards ?acceptors ~plans)
-    protocols
+let run_campaign ?shrink_failures ?seed ?shards ?acceptors ~plans protocols =
+  List.map (run_protocol ?shrink_failures ?seed ?shards ?acceptors ~plans) protocols
 
 let stats_table ~plans ~seed stats =
   (* column set follows the campaign's class tally: the plain 5 classes
@@ -581,8 +575,8 @@ let trips_summary stats =
     "monitor first trips (plans tripped, earliest virtual time):\n"
     ^ String.concat "\n" lines ^ "\n"
 
-let experiment_r1 ?(plans = 25) ?(seed = 42L) ?sim_domains ?shards ?acceptors () =
-  let stats = run_campaign ~seed ?sim_domains ?shards ?acceptors ~plans Protocol.all in
+let experiment_r1 ?(plans = 25) ?(seed = 42L) ?shards ?acceptors () =
+  let stats = run_campaign ~seed ?shards ?acceptors ~plans Protocol.all in
   Table.print (stats_table ~plans ~seed stats);
   (match trips_summary stats with
   | "" -> ()

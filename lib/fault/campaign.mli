@@ -12,16 +12,14 @@ exception Central_crash_injected
     fires; the runner's worker counts and swallows it. *)
 
 (** Fixed chaos workload for one protocol (small federation, hot accounts,
-    commuting increments, intended aborts). [sim_domains] (default 1)
-    partitions the simulation over that many domains — outcomes, summaries
-    and invariant verdicts are byte-identical for any value. [shards]
-    (default 1) runs the chaos workload on a sharded federation (4 sites, a
-    25% cross-shard rate); 1 keeps the exact pre-sharding config.
+    commuting increments, intended aborts). [shards] (default 1) runs the
+    chaos workload on a sharded federation (4 sites, a 25% cross-shard
+    rate); 1 keeps the exact pre-sharding config.
     [acceptors] (default 1) installs Paxos Commit with that group size;
     1 keeps the single-coordinator decision log, byte-identical to the
     pre-Paxos campaign. *)
 val base_config :
-  ?sim_domains:int -> ?shards:int -> ?acceptors:int ->
+  ?shards:int -> ?acceptors:int ->
   Icdb_workload.Protocol.t -> seed:int64 -> Icdb_workload.Runner.config
 
 (** Virtual-time window plan events are drawn from. *)
@@ -68,7 +66,6 @@ val flight_capacity : int
 val run_plan :
   ?registry:Icdb_obs.Registry.t ->
   ?seed:int64 ->
-  ?sim_domains:int ->
   ?shards:int ->
   ?acceptors:int ->
   ?extra_setup:(Icdb_sim.Engine.t -> Icdb_core.Federation.t -> unit) ->
@@ -78,7 +75,7 @@ val run_plan :
 
 (** Greedy one-event-removal minimisation of a violating plan, to fixpoint. *)
 val shrink :
-  ?seed:int64 -> ?sim_domains:int -> ?shards:int -> ?acceptors:int ->
+  ?seed:int64 -> ?shards:int -> ?acceptors:int ->
   protocol:Icdb_workload.Protocol.t -> Plan.t -> Plan.t
 
 type protocol_stats = {
@@ -99,7 +96,6 @@ type protocol_stats = {
 val run_protocol :
   ?shrink_failures:bool ->
   ?seed:int64 ->
-  ?sim_domains:int ->
   ?shards:int ->
   ?acceptors:int ->
   plans:int ->
@@ -109,7 +105,6 @@ val run_protocol :
 val run_campaign :
   ?shrink_failures:bool ->
   ?seed:int64 ->
-  ?sim_domains:int ->
   ?shards:int ->
   ?acceptors:int ->
   plans:int ->
@@ -129,6 +124,5 @@ val trips_summary : protocol_stats list -> string
 (** Experiment R1: the campaign over all six protocols (expected all-zero
     violation column). Prints the table plus any violating plans. *)
 val experiment_r1 :
-  ?plans:int -> ?seed:int64 -> ?sim_domains:int -> ?shards:int ->
-  ?acceptors:int -> unit ->
+  ?plans:int -> ?seed:int64 -> ?shards:int -> ?acceptors:int -> unit ->
   protocol_stats list

@@ -1,12 +1,10 @@
 (** Reference binary-heap event queue.
 
-    The pre-calendar {!Engine} implementation, one binary heap with no
-    calendar and no same-instant lane, kept as an executable specification:
-    the QCheck2 equivalence properties drive this and {!Engine} through
-    identical push/pop/cancel/clock-advance interleavings and demand
-    identical pop order, and the bench scheduler kernel measures both so
-    BENCH.json records the heap baseline the calendar is compared against.
-    Not used by the simulation itself. *)
+    One binary heap with no same-instant lane, kept as an executable
+    specification of {!Engine}: the QCheck2 equivalence properties drive
+    this and {!Engine} through identical push/pop/cancel/clock-advance
+    interleavings and demand identical pop order. Not used by the
+    simulation itself. *)
 
 type t
 type event_id

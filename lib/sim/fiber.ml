@@ -121,18 +121,16 @@ module Mailbox = struct
   let length t = Queue.length t.items
 end
 
-let all_on pairs =
+let all engine thunks =
   let cells =
     List.map
-      (fun (engine, thunk) ->
+      (fun thunk ->
         let iv = Ivar.create engine in
         spawn engine (fun () ->
             let result = match thunk () with v -> Ok v | exception e -> Error e in
             Ivar.fill iv result);
         iv)
-      pairs
+      thunks
   in
   let results = List.map Ivar.read cells in
   List.map (function Ok v -> v | Error e -> raise e) results
-
-let all engine thunks = all_on (List.map (fun thunk -> (engine, thunk)) thunks)

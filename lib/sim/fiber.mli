@@ -40,13 +40,6 @@ exception Timed_out
     after every other thunk has finished. *)
 val all : Engine.t -> (unit -> 'a) list -> 'a list
 
-(** [all_on pairs] is {!all} with per-thunk placement: each thunk runs as a
-    fiber spawned on its paired engine, so in a partitioned simulation its
-    body executes on the domain owning that engine (a fiber always resumes
-    on its spawn engine). With every pair naming the same engine this is
-    exactly [all]. *)
-val all_on : (Engine.t * (unit -> 'a)) list -> 'a list
-
 (** Write-once synchronisation cell. *)
 module Ivar : sig
   type 'a t

@@ -7,10 +7,9 @@
     variable between batches (no busy-wait), so a long-lived pool parks
     for free while the main domain does other work.
 
-    Core budget: a simulation may itself be partitioned over domains
-    ([--sim-domains]); divide the sweep's [-j] by that count (and {!size}
-    reports what a pool actually holds) so the two levels of parallelism
-    do not oversubscribe the machine. *)
+    Core budget: every task is a single-domain simulation, so a sweep's
+    [-j] is its whole width ({!size} reports what a pool actually
+    holds). *)
 
 type t
 

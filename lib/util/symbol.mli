@@ -31,28 +31,3 @@ val count : table -> int
 val snapshot : table -> string array
 (** Point-in-time copy of the mapping: index [i] holds the string of
     symbol [i]. *)
-
-(** {2 Debug ownership check}
-
-    Tables are Domain-safe under a partitioned simulation only because
-    event execution is serialized; the invariant that must hold is that a
-    table is never shared between two {e concurrently executing}
-    simulations. With the check enabled ({!set_debug}, or the
-    [ICDB_SYMBOL_DEBUG] environment variable), interning a {e new} string
-    into a {!seal}ed table from a domain that was not {!allow}ed fails
-    fast instead of racing silently. Lookups of already-interned strings
-    are unaffected. Off by default: zero cost on the hot path beyond one
-    branch. *)
-
-(** Globally enable/disable the ownership check. *)
-val set_debug : bool -> unit
-
-(** [seal tbl] marks setup interning finished and registers the calling
-    domain as an owner. New interning from other domains is rejected while
-    the check is enabled, unless they call {!allow} first. *)
-val seal : table -> unit
-
-(** [allow tbl] registers the calling domain as a legitimate interner —
-    the parallel scheduler calls this from every partition domain of the
-    owning simulation. *)
-val allow : table -> unit

@@ -1,8 +1,6 @@
 module Sim = Icdb_sim.Engine
-module Parallel = Icdb_sim.Parallel
 module Fiber = Icdb_sim.Fiber
 module Rng = Icdb_util.Rng
-module Symbol = Icdb_util.Symbol
 module Zipf = Icdb_util.Zipf
 module Db = Icdb_localdb.Engine
 module Program = Icdb_localdb.Program
@@ -50,9 +48,6 @@ type config = {
   message_loss : float;
   msg_batch_window : float option;
   central_gc_window : float option;
-  sim_domains : int;
-      (* partition the simulation over this many domains (1 = the plain
-         sequential engine, byte-identical output either way) *)
   shards : int;
       (* group the sites into this many shards, each with its own
          coordinator, journal and decision log; 1 = the unsharded
@@ -104,7 +99,6 @@ let default =
     message_loss = 0.0;
     msg_batch_window = None;
     central_gc_window = None;
-    sim_domains = 1;
     shards = 1;
     cross_shard_fraction = 0.0;
     decision_force_time = None;
@@ -354,31 +348,14 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
     invalid_arg "Runner.run: cross_shard_fraction must be in [0,1]";
   if cfg.acceptors < 1 || cfg.acceptors mod 2 = 0 || cfg.acceptors > cfg.n_sites
   then invalid_arg "Runner.run: acceptors must be odd and in 1..n_sites";
-  (* One engine per partition: partition 0 holds the central system (and
-     everything when unpartitioned), sites round-robin over the rest. The
-     scheduler executes in the exact global (time, seq) order whatever the
-     partition count, so the report below is byte-identical for any
-     [sim_domains]. *)
-  let par = Parallel.create ~domains:cfg.sim_domains () in
-  let engines = Parallel.engines par in
-  let n_parts = Parallel.size par in
-  let engine = engines.(0) in
+  let engine = Sim.create () in
   (* A caller-supplied tracer predates this engine; point it at our clock. *)
   Option.iter
     (fun tr -> Icdb_obs.Tracer.set_clock tr (fun () -> Sim.now engine))
     tracer;
   let configs = List.init cfg.n_sites (site_config cfg) in
-  let site_engines =
-    Array.init cfg.n_sites (fun i ->
-        if n_parts = 1 then engine
-        else if cfg.shards > 1 then
-          (* the shard is the natural partition: a single-shard fast-path
-             round then runs entirely on the partition owning the shard *)
-          engines.(1 + (i * cfg.shards / cfg.n_sites mod (n_parts - 1)))
-        else engines.(1 + (i mod (n_parts - 1))))
-  in
   let fed =
-    Federation.create engine ~site_engines ~latency:cfg.latency
+    Federation.create engine ~latency:cfg.latency
       ~loss:cfg.message_loss ?registry ?tracer
       ~msg_batch_window:cfg.msg_batch_window
       ~central_gc_window:cfg.central_gc_window ~shards:cfg.shards
@@ -408,15 +385,6 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
   (* Fault-campaign hook: runs with the federation built and preloaded but
      before any fiber is spawned, so injectors it arms see the whole run. *)
   Option.iter (fun f -> f engine fed) on_setup;
-  (* Setup interning is done; seal the symbol tables so the debug ownership
-     check (ICDB_SYMBOL_DEBUG) can flag interning from a domain that is
-     neither this one nor a partition domain of this very simulation. *)
-  let each_table f =
-    f fed.syms;
-    List.iter (fun (_, site) -> f (Db.symbols (Site.db site))) fed.sites
-  in
-  each_table Symbol.seal;
-  Parallel.set_domain_start par (fun () -> each_table Symbol.allow);
   let master_rng = Rng.create cfg.seed in
   let zipf = Zipf.create ~n:cfg.accounts_per_site ~theta:cfg.zipf_theta in
   let issued = ref 0 in
@@ -427,12 +395,9 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
     List.iter
       (fun (_, site) ->
         let rng = Rng.split master_rng in
-        (* on the site's own engine: the injector's events then run on the
-           partition owning the site (placement only — order is global) *)
-        let seng = Site.engine site in
-        Fiber.spawn seng (fun () ->
+        Fiber.spawn engine (fun () ->
             let rec loop () =
-              Fiber.sleep seng (Rng.exponential rng ~mean:(1000.0 /. cfg.crash_rate));
+              Fiber.sleep engine (Rng.exponential rng ~mean:(1000.0 /. cfg.crash_rate));
               if not !stop_crashes then begin
                 if Site.is_up site then Site.crash_for site ~duration:cfg.crash_duration;
                 loop ()
@@ -474,7 +439,7 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
       ignore (Fiber.all engine workers);
       finished_at := Sim.now engine;
       stop_crashes := true);
-  Parallel.run par;
+  Sim.run engine;
   (* Make sure every site is up so the final snapshot sees recovered state. *)
   List.iter
     (fun (_, site) -> if not (Site.is_up site) then ignore (Site.restart site))
@@ -485,7 +450,7 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
   Option.iter
     (fun f ->
       Fiber.spawn engine f;
-      Parallel.run par)
+      Sim.run engine)
     on_drain;
   let elapsed = if !finished_at > 0.0 then !finished_at else Sim.now engine in
   let m = fed.metrics in

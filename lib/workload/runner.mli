@@ -55,12 +55,6 @@ type config = {
   central_gc_window : float option;
       (** group-commit window for the central decision log (O1); [None] or
           non-positive = every decision forced individually *)
-  sim_domains : int;
-      (** partition the simulation over this many OCaml domains: the
-          central system on partition 0, sites round-robin over the rest
-          ({!Icdb_sim.Parallel}). Reports, traces and metrics are
-          byte-identical for every value; 1 (the default) runs today's
-          sequential engine with no coupling at all *)
   shards : int;
       (** group the federation's sites into this many shards, each with its
           own coordinator site, journal, decision log and batcher
@@ -69,8 +63,7 @@ type config = {
           shard coordinator; cross-shard transactions run a top-level round
           over the participating shard coordinators. 1 (the default) is the
           unsharded federation, byte-identical to the pre-sharding runner.
-          Must lie in [1..n_sites]. When sharded, the shard (not the site)
-          is the unit of [sim_domains] placement *)
+          Must lie in [1..n_sites] *)
   cross_shard_fraction : float;
       (** probability a generated transaction deliberately spans at least
           two shards (round-robin over distinct shards); the rest sample

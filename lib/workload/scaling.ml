@@ -42,7 +42,7 @@ let cells ~smoke =
       { sc_sites = 32; sc_accounts_per_site = 31_250 };
     ]
 
-let config ?(sim_domains = 1) protocol (c : cell) =
+let config protocol (c : cell) =
   {
     Runner.default with
     protocol;
@@ -54,7 +54,6 @@ let config ?(sim_domains = 1) protocol (c : cell) =
     ops_per_branch = 2;
     zipf_theta = 0.8;
     use_increments = true;
-    sim_domains;
   }
 
 type row = {
@@ -69,9 +68,9 @@ type row = {
   r_events_per_sec : float;
 }
 
-let run_cell ?trace ?sim_domains protocol (c : cell) =
+let run_cell ?trace protocol (c : cell) =
   let registry = Registry.create () in
-  let cfg = config ?sim_domains protocol c in
+  let cfg = config protocol c in
   (* Sink-only streaming tracer: events go straight to the per-cell file,
      nothing accumulates in memory, and the sampler keeps only a seeded
      head-sample of transactions. *)
@@ -124,7 +123,7 @@ let run_cell ?trace ?sim_domains protocol (c : cell) =
     },
     trace_out )
 
-let run_s1 ?(smoke = false) ?trace ?sim_domains () =
+let run_s1 ?(smoke = false) ?trace () =
   let cells = cells ~smoke in
   let tracing = trace <> None in
   let table =
@@ -152,7 +151,7 @@ let run_s1 ?(smoke = false) ?trace ?sim_domains () =
       if i > 0 then Table.add_separator table;
       List.iter
         (fun cell ->
-          let r, trace_out = run_cell ?trace ?sim_domains protocol cell in
+          let r, trace_out = run_cell ?trace protocol cell in
           let trace_cols =
             match trace_out with
             | None -> []

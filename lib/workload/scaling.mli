@@ -19,10 +19,7 @@ type trace_spec = {
     tracer ({!Icdb_obs.Sink}) — bounded memory even at the million-account
     cells. *)
 
-val run_s1 : ?smoke:bool -> ?trace:trace_spec -> ?sim_domains:int -> unit -> string
+val run_s1 : ?smoke:bool -> ?trace:trace_spec -> unit -> string
 (** [run_s1 ~smoke ()] renders the scaling table. [smoke] (default false)
     shrinks the size ladder to CI scale. [trace] streams sampled Chrome
-    traces per cell and adds trace-volume columns to the table.
-    [sim_domains] (default 1) partitions each cell's simulation over that
-    many domains ({!Icdb_sim.Parallel}); every deterministic column is
-    byte-identical for any value — only the wall-clock columns change. *)
+    traces per cell and adds trace-volume columns to the table. *)

@@ -108,40 +108,19 @@ let test_engine_lane_after_heap () =
   Engine.run eng;
   Alcotest.(check (list string)) "heap event at t first" [ "p"; "q"; "z" ] (List.rev !seen)
 
-(* Activation moves every heap event out to the calendar, including one
-   due at the current instant; a zero-delay event already in the lane must
-   still wait for it. *)
-let test_engine_lane_after_activation () =
-  let eng = Engine.create ~threshold:64 () in
-  let seen = ref [] in
-  let note s = seen := s :: !seen in
-  ignore
-    (Engine.schedule eng ~delay:1.0 (fun () ->
-         note "a";
-         ignore (Engine.schedule eng ~delay:0.0 (fun () -> note "z"));
-         for i = 1 to 70 do
-           ignore (Engine.schedule eng ~delay:(float_of_int i) (fun () -> ()))
-         done));
-  ignore (Engine.schedule eng ~delay:1.0 (fun () -> note "b"));
-  ignore (Engine.step eng);
-  Alcotest.(check bool) "calendar activated" true (Engine.calendar_active eng);
-  Engine.run eng;
-  Alcotest.(check (list string)) "calendar event at t first" [ "a"; "b"; "z" ] (List.rev !seen)
-
-(* --- Calendar queue vs reference heap --- *)
+(* --- Engine vs reference heap --- *)
 
 module Rng = Icdb_util.Rng
 
 (* Random interleavings of push / pop / cancel / clock-advance, replayed
-   against both the calendar engine (threshold 64, so toy-sized runs still
-   activate it) and the pre-calendar binary heap kept as Engine_ref. Delays
-   are multiples of 0.5 so same-time ties are frequent and float arithmetic
-   is exact; every fired event records (time, push serial), and the two
+   against both the engine and the plain binary heap kept as Engine_ref.
+   Delays are multiples of 0.5 so same-time ties are frequent and float
+   arithmetic is exact; every fired event records (time, push serial), and the two
    execution logs must match exactly. *)
 type qop = QPush of int | QPop | QCancel of int | QAdvance of int
 
-let prop_calendar_equals_heap =
-  QCheck2.Test.make ~name:"calendar queue = reference heap pop order" ~count:300
+let prop_engine_equals_heap =
+  QCheck2.Test.make ~name:"engine = reference heap pop order" ~count:300
     QCheck2.Gen.(
       list_size (int_range 0 400)
         (frequency
@@ -152,7 +131,7 @@ let prop_calendar_equals_heap =
              (1, map (fun h -> QAdvance h) (int_range 0 60));
            ]))
     (fun ops ->
-      let e = Engine.create ~threshold:64 () in
+      let e = Engine.create () in
       let r = Engine_ref.create () in
       let seen_e = ref [] and seen_r = ref [] in
       let ids_e = ref [] and ids_r = ref [] in
@@ -200,9 +179,8 @@ let prop_calendar_equals_heap =
    every fired event looks up its entry in a generated script, schedules
    its children (zero delay more often than not, so the same-instant lane
    is busy) and cancels an earlier event, pending or not. Top-level ops
-   interleave pushes, steps, cancels and [run_until]. Threshold 64 keeps
-   the calendar active next to the lane; the execution log and the
-   pending count after every op must match the reference heap's. *)
+   interleave pushes, steps, cancels and [run_until]. The execution log
+   and the pending count after every op must match the reference heap's. *)
 type 'id sim = {
   schedule : float -> (unit -> unit) -> 'id;
   cancel : 'id -> unit;
@@ -257,7 +235,7 @@ let prop_lane_equals_heap =
                 (1, map (fun h -> QAdvance h) (int_range 0 60));
               ])))
     (fun (script, ops) ->
-      let e = Engine.create ~threshold:64 () in
+      let e = Engine.create () in
       let r = Engine_ref.create () in
       let got =
         replay
@@ -307,11 +285,10 @@ let test_engine_lane_compaction () =
   Alcotest.(check (list int)) "FIFO survivors" (List.init (n / 4) (fun i -> i * 4)) (List.rev !fired);
   Alcotest.(check int) "stored drained" 0 (Engine.stored eng)
 
-(* Deep calendar exercise: tens of thousands of pending events with skewed
-   delays, well past the activation threshold, must drain in exact
-   nondecreasing (time, seq) order with nothing lost. *)
-let test_engine_calendar_scale () =
-  let eng = Engine.create ~threshold:64 () in
+(* Tens of thousands of pending events with skewed delays must drain in
+   exact nondecreasing (time, seq) order with nothing lost. *)
+let test_engine_drain_scale () =
+  let eng = Engine.create () in
   let rng = Rng.create 7L in
   let n = 20_000 in
   let fired = ref 0 in
@@ -326,7 +303,6 @@ let test_engine_calendar_scale () =
            last := t;
            incr fired))
   done;
-  Alcotest.(check bool) "calendar activated" true (Engine.calendar_active eng);
   Alcotest.(check int) "all pending" n (Engine.pending eng);
   Engine.run eng;
   Alcotest.(check int) "all fired" n !fired;
@@ -337,7 +313,7 @@ let test_engine_calendar_scale () =
 (* Cancelling nearly everything must compact the store instead of dragging
    dead events along until they surface at the root. *)
 let test_engine_cancel_compaction () =
-  let eng = Engine.create ~threshold:64 () in
+  let eng = Engine.create () in
   let rng = Rng.create 11L in
   let n = 10_000 in
   let ids = Array.make n None in
@@ -358,26 +334,6 @@ let test_engine_cancel_compaction () =
   Engine.run eng;
   Alcotest.(check int) "survivors fired" 100 !fired;
   Alcotest.(check int) "stored drained" 0 (Engine.stored eng)
-
-let test_engine_resize_hook () =
-  let eng = Engine.create ~threshold:64 () in
-  let rng = Rng.create 3L in
-  let calls = ref 0 in
-  let last_buckets = ref 0 in
-  let last_events = ref 0 in
-  Engine.set_resize_hook eng (fun ~buckets ~width ~events ->
-      incr calls;
-      last_buckets := buckets;
-      last_events := events;
-      Alcotest.(check bool) "positive width" true (width > 0.0));
-  for _ = 1 to 1_000 do
-    ignore (Engine.schedule eng ~delay:(Rng.exponential rng ~mean:100.0) (fun () -> ()))
-  done;
-  Alcotest.(check bool) "hook called on activation" true (!calls >= 1);
-  Alcotest.(check bool) "buckets reported" true (!last_buckets > 0);
-  Alcotest.(check bool) "events reported" true (!last_events > 0);
-  Engine.run eng;
-  Alcotest.(check bool) "calendar off after drain" false (Engine.calendar_active eng)
 
 (* --- Fibers --- *)
 
@@ -675,17 +631,14 @@ let () =
           Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "cancel after fire" `Quick test_engine_cancel_after_fire;
           Alcotest.test_case "lane after heap at same instant" `Quick test_engine_lane_after_heap;
-          Alcotest.test_case "lane after calendar at same instant" `Quick
-            test_engine_lane_after_activation;
         ] );
-      ( "calendar",
+      ( "queue",
         [
-          QCheck_alcotest.to_alcotest prop_calendar_equals_heap;
+          QCheck_alcotest.to_alcotest prop_engine_equals_heap;
           QCheck_alcotest.to_alcotest prop_lane_equals_heap;
-          Alcotest.test_case "20k-event drain order" `Quick test_engine_calendar_scale;
+          Alcotest.test_case "20k-event drain order" `Quick test_engine_drain_scale;
           Alcotest.test_case "cancel compaction" `Quick test_engine_cancel_compaction;
           Alcotest.test_case "lane compaction keeps FIFO" `Quick test_engine_lane_compaction;
-          Alcotest.test_case "resize hook" `Quick test_engine_resize_hook;
         ] );
       ( "fiber",
         [

@@ -595,6 +595,24 @@ let test_pool_propagates_exception () =
 let test_pool_more_jobs_than_tasks () =
   Alcotest.(check (list int)) "jobs > tasks" [ 7 ] (Pool.run ~jobs:16 [ (fun () -> 7) ])
 
+(* A long-lived pool parks between batches and survives a failed one. *)
+let test_pool_persistent_batches () =
+  let pool = Pool.create ~size:3 in
+  Alcotest.(check int) "size" 3 (Pool.size pool);
+  Alcotest.(check (list int)) "first batch in order"
+    (List.init 20 (fun i -> i * i))
+    (Pool.exec pool (List.init 20 (fun i () -> i * i)));
+  Alcotest.(check (list int)) "workers reused for a second batch"
+    (List.init 7 succ)
+    (Pool.exec pool (List.init 7 (fun i () -> i + 1)));
+  Alcotest.check_raises "lowest-indexed failure wins" (Failure "2") (fun () ->
+      ignore
+        (Pool.exec pool
+           (List.init 6 (fun i () -> if i >= 2 then failwith (string_of_int i) else i))));
+  Alcotest.(check (list int)) "pool survives a failed batch" [ 9 ]
+    (Pool.exec pool [ (fun () -> 9) ]);
+  Pool.shutdown pool
+
 (* --- Symbol interner --- *)
 
 module Symbol = Icdb_util.Symbol
@@ -722,6 +740,7 @@ let () =
           Alcotest.test_case "jobs=1 runs inline" `Quick test_pool_jobs_one_inline;
           Alcotest.test_case "exception propagation" `Quick test_pool_propagates_exception;
           Alcotest.test_case "more jobs than tasks" `Quick test_pool_more_jobs_than_tasks;
+          Alcotest.test_case "persistent batches" `Quick test_pool_persistent_batches;
         ] );
       ( "table",
         [
