@@ -138,6 +138,16 @@ let record_outcome t ~gid ~committed = Gid_store.Bool.replace t.outcomes gid com
 let committed_of t gid =
   match Gid_store.Bool.find_opt t.outcomes gid with Some c -> c | None -> false
 
+(* Empties the per-symbol [cells] of every key a site's locals touched, so
+   the next site starts from "no entry". *)
+let forget_keys cells hist =
+  List.iter
+    (fun l ->
+      for i = 0 to Array.length l.kinds - 1 do
+        cells.(fst l.kinds.(i)) <- []
+      done)
+    hist
+
 (* Successor lists among committed globals, built from per-site commit order,
    and the number of edges in them.
 
@@ -150,39 +160,49 @@ let committed_of t gid =
    kept edges are a subset of the full ones, a reported cycle is a real cycle
    of the full graph. An access costs one edge per previous-run member, so a
    read/write history builds at most two edges per access. *)
-type run = { mutable kind : kind; mutable members : int list; mutable prev : int list }
-
 let edges t =
   let succ : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
   let count = ref 0 in
-  let emit g2 g1 =
-    if g1 <> g2 then begin
-      (match Hashtbl.find_opt succ g1 with
-      | Some out -> out := g2 :: !out
-      | None -> Hashtbl.add succ g1 (ref [ g2 ]));
-      incr count
-    end
+  let rec emit g2 = function
+    | [] -> ()
+    | g1 :: rest ->
+      if g1 <> g2 then begin
+        (match Hashtbl.find succ g1 with
+        | out -> out := g2 :: !out
+        | exception Not_found -> Hashtbl.add succ g1 (ref [ g2 ]));
+        incr count
+      end;
+      emit g2 rest
   in
+  (* The current run of each key, by graph symbol: its kind, its members
+     (empty: no run yet at this site) and the previous run's members. *)
+  let n = Symbol.count t.syms in
+  let run_kind = Array.make n KRead in
+  let members = Array.make n [] in
+  let prev = Array.make n [] in
   Strtbl.iter
     (fun _site hist ->
-      let runs : (Symbol.t, run) Hashtbl.t = Hashtbl.create 64 in
       List.iter
         (fun l ->
           if committed_of t l.gid && not l.compensation then
-            Array.iter
-              (fun (key, kind) ->
-                match Hashtbl.find_opt runs key with
-                | None -> Hashtbl.add runs key { kind; members = [ l.gid ]; prev = [] }
-                | Some r ->
-                  if r.kind = kind && kind <> KWrite then r.members <- l.gid :: r.members
-                  else begin
-                    r.prev <- r.members;
-                    r.members <- [ l.gid ];
-                    r.kind <- kind
-                  end;
-                  List.iter (emit l.gid) r.prev)
-              l.kinds)
-        (List.rev !hist))
+            for i = 0 to Array.length l.kinds - 1 do
+              let key, kind = l.kinds.(i) in
+              match members.(key) with
+              | [] ->
+                run_kind.(key) <- kind;
+                members.(key) <- [ l.gid ];
+                prev.(key) <- []
+              | run ->
+                if run_kind.(key) = kind && kind <> KWrite then members.(key) <- l.gid :: run
+                else begin
+                  prev.(key) <- run;
+                  members.(key) <- [ l.gid ];
+                  run_kind.(key) <- kind
+                end;
+                emit l.gid prev.(key)
+            done)
+        (List.rev !hist);
+      forget_keys members !hist)
     t.histories;
   (succ, !count)
 
@@ -213,6 +233,23 @@ let find_cycle t =
     None
   with Found cycle -> Some cycle
 
+(* Dirty windows: (writer position, writer gid, kind, window end). *)
+(* The windows still open at position [p]: the list itself while none has
+   closed, so pruning allocates only once a window expires. *)
+let rec open_at p = function
+  | [] -> []
+  | ((_, _, _, wend) as w) :: rest as ws ->
+    let open_rest = open_at p rest in
+    if wend <= p then open_rest else if open_rest == rest then ws else w :: open_rest
+
+(* Records (writer position, reader position) for each open window on the
+   key whose writer conflicts with the reading local [gid]. *)
+let rec note_pairs pairs ~reader gid kind = function
+  | [] -> ()
+  | (i, wgid, wkind, _) :: rest ->
+    if wgid <> gid && kinds_conflict wkind kind then Hashtbl.replace pairs (i, reader) ();
+    note_pairs pairs ~reader gid kind rest
+
 (* A committed local conflicting with an aborted global's original local,
    positioned after it and before its compensation, read or overwrote data
    that was later compensated away.
@@ -220,12 +257,14 @@ let find_cycle t =
    One forward pass per site over a per-key index: aborted locals open a
    "dirty window" on every key they changed (pure reads are harmless — the
    read-only optimization); committed locals scan the still-open windows on
-   the keys they touched. Windows close at the aborted global's compensation,
-   and closed entries are pruned as they are encountered, so the cost is
-   O(total accesses + reported pairs) instead of the former O(locals^2)
-   all-pairs window scan. *)
+   the keys they touched. Windows close at the aborted global's compensation;
+   a key's list is pruned when it is next touched after one has closed, so
+   the cost is O(total accesses + reported pairs) instead of the former
+   O(locals^2) all-pairs window scan. *)
 let dirty_reads t =
   let found = ref [] in
+  (* key symbol -> open dirty windows; [] is "no entry". *)
+  let open_windows = Array.make (Symbol.count t.syms) [] in
   Strtbl.iter
     (fun site hist ->
       (* Only an aborted global's local opens a dirty window, so a site
@@ -238,36 +277,27 @@ let dirty_reads t =
         let next_comp = Hashtbl.create 16 in
         for i = n - 1 downto 0 do
           let l = ordered.(i) in
-          window_end.(i) <- Option.value ~default:n (Hashtbl.find_opt next_comp l.gid);
+          (match Hashtbl.find next_comp l.gid with
+          | c -> window_end.(i) <- c
+          | exception Not_found -> ());
           if l.compensation then Hashtbl.replace next_comp l.gid i
         done;
-        (* key -> open dirty windows (writer position, gid, kind, window end) *)
-        let open_windows : (Symbol.t, (int * int * kind * int) list ref) Hashtbl.t =
-          Hashtbl.create 64
-        in
         let pairs = Hashtbl.create 16 in
         for p = 0 to n - 1 do
           let l = ordered.(p) in
           if not l.compensation then begin
             let committed = committed_of t l.gid in
-            Array.iter
-              (fun (key, kind) ->
-                match Hashtbl.find_opt open_windows key with
-                | None ->
-                  if (not committed) && kind <> KRead then
-                    Hashtbl.replace open_windows key (ref [ (p, l.gid, kind, window_end.(p)) ])
-                | Some cell ->
-                  cell := List.filter (fun (_, _, _, wend) -> wend > p) !cell;
-                  if committed then
-                    List.iter
-                      (fun (i, wgid, wkind, _) ->
-                        if wgid <> l.gid && kinds_conflict wkind kind then
-                          Hashtbl.replace pairs (i, p) ())
-                      !cell
-                  else if kind <> KRead then cell := (p, l.gid, kind, window_end.(p)) :: !cell)
-              l.kinds
+            for k = 0 to Array.length l.kinds - 1 do
+              let key, kind = l.kinds.(k) in
+              let windows = open_at p open_windows.(key) in
+              open_windows.(key) <- windows;
+              if committed then note_pairs pairs ~reader:p l.gid kind windows
+              else if kind <> KRead then
+                open_windows.(key) <- (p, l.gid, kind, window_end.(p)) :: windows
+            done
           end
         done;
+        forget_keys open_windows !hist;
         let site_pairs = List.sort compare (Hashtbl.fold (fun ij () acc -> ij :: acc) pairs []) in
         List.iter
           (fun (i, j) ->

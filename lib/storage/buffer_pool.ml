@@ -6,10 +6,20 @@ type frame = {
   mutable last_used : int; (* logical clock for LRU *)
 }
 
+(* Same hash as the polymorphic table, so the buckets, and with them
+   [flush_all]'s write-back order, are unchanged; [Int.equal] spares
+   [fetch] the polymorphic compare. *)
+module Frames = Hashtbl.Make (struct
+  type t = Disk.page_id
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   disk : Disk.t;
   capacity : int;
-  frames : (Disk.page_id, frame) Hashtbl.t;
+  frames : frame Frames.t;
   mutable wal_hook : lsn:int64 -> unit;
   mutable tick : int;
   mutable hits : int;
@@ -22,7 +32,7 @@ let create ~capacity disk =
   {
     disk;
     capacity;
-    frames = Hashtbl.create (2 * capacity);
+    frames = Frames.create (2 * capacity);
     wal_hook = (fun ~lsn:_ -> ());
     tick = 0;
     hits = 0;
@@ -41,7 +51,7 @@ let write_back t frame =
 
 let evict_one t =
   let victim =
-    Hashtbl.fold
+    Frames.fold
       (fun _ frame best ->
         if frame.pins > 0 then best
         else
@@ -54,19 +64,19 @@ let evict_one t =
   | None -> failwith "Buffer_pool: all frames pinned"
   | Some frame ->
     write_back t frame;
-    Hashtbl.remove t.frames frame.pid;
+    Frames.remove t.frames frame.pid;
     t.evictions <- t.evictions + 1
 
 let fetch t pid =
-  match Hashtbl.find_opt t.frames pid with
-  | Some frame ->
+  match Frames.find t.frames pid with
+  | frame ->
     t.hits <- t.hits + 1;
     frame
-  | None ->
+  | exception Not_found ->
     t.misses <- t.misses + 1;
-    if Hashtbl.length t.frames >= t.capacity then evict_one t;
+    if Frames.length t.frames >= t.capacity then evict_one t;
     let frame = { pid; page = Disk.read t.disk pid; dirty = false; pins = 0; last_used = 0 } in
-    Hashtbl.replace t.frames pid frame;
+    Frames.replace t.frames pid frame;
     frame
 
 (* Unpin via an explicit exception match, not [Fun.protect]: the finaliser
@@ -94,23 +104,31 @@ let pinned t pid ~write ~dirty f =
 let with_page t pid ~write f = pinned t pid ~write ~dirty:(fun _ -> true) f
 let with_page_opt t pid f = pinned t pid ~write:true ~dirty:Option.is_some f
 
+(* Reads the fit where the page's current image lives, without a pin, an
+   LRU tick or a hit/miss count: a resident frame may be newer than its
+   disk image. *)
+let free_space t pid =
+  match Frames.find_opt t.frames pid with
+  | Some frame -> Page.free_space frame.page
+  | None -> Disk.free_space t.disk pid
+
 let flush_page t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Frames.find_opt t.frames pid with
   | Some frame -> write_back t frame
   | None -> ()
 
-let flush_all t = Hashtbl.iter (fun _ frame -> write_back t frame) t.frames
+let flush_all t = Frames.iter (fun _ frame -> write_back t frame) t.frames
 
-let drop_all t = Hashtbl.reset t.frames
+let drop_all t = Frames.reset t.frames
 
 let dirty_pages t =
-  Hashtbl.fold (fun pid frame acc -> if frame.dirty then pid :: acc else acc) t.frames []
+  Frames.fold (fun pid frame acc -> if frame.dirty then pid :: acc else acc) t.frames []
   |> List.sort compare
 
 (* Outstanding pins across every frame. Steady-state invariant: zero — every
    pin is scoped to a [with_page] call, so a nonzero count between
    operations is a leak. *)
-let pin_count t = Hashtbl.fold (fun _ frame acc -> acc + frame.pins) t.frames 0
+let pin_count t = Frames.fold (fun _ frame acc -> acc + frame.pins) t.frames 0
 
 let capacity t = t.capacity
 let hit_count t = t.hits

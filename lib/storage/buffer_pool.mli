@@ -35,6 +35,13 @@ val with_page : t -> Disk.page_id -> write:bool -> (Page.t -> 'a) -> 'a
     returns [None] does not make it a write-back candidate. *)
 val with_page_opt : t -> Disk.page_id -> (Page.t -> 'a option) -> 'a option
 
+(** [free_space t pid] is {!Page.free_space} of the page's current image:
+    the resident frame's when the page is cached, else the disk's
+    ({!Disk.free_space}). Free of side effects: no pin, no LRU tick, no
+    hit, miss or eviction, no disk read. Raises [Invalid_argument] on an
+    unallocated id. *)
+val free_space : t -> Disk.page_id -> int
+
 (** Outstanding pins summed over all frames. Zero between operations: every
     pin is scoped to a {!with_page} call, so a persistent nonzero count is a
     pin leak (and will eventually make eviction fail). *)

@@ -28,6 +28,10 @@ let read t pid =
   t.reads <- t.reads + 1;
   Page.copy t.pages.(pid)
 
+let free_space t pid =
+  check t pid;
+  Page.free_space t.pages.(pid)
+
 let write t pid page =
   check t pid;
   t.writes <- t.writes + 1;

@@ -20,6 +20,11 @@ val allocate : t -> page_id
     Raises [Invalid_argument] on an unallocated id. *)
 val read : t -> page_id -> Page.t
 
+(** [free_space t pid] is {!Page.free_space} of the stable image, read in
+    place: no copy is made and {!read_count} does not move.
+    Raises [Invalid_argument] on an unallocated id. *)
+val free_space : t -> page_id -> int
+
 (** [write t pid page] replaces the stable image with a copy of [page]. *)
 val write : t -> page_id -> Page.t -> unit
 

@@ -19,6 +19,10 @@ let stamp page lsn = if Int64.compare lsn (Page.lsn page) > 0 then Page.set_lsn 
 
 let insert t ~lsn ~key ~value =
   let payload = Record.encode ~key ~value in
+  let len = Bytes.length payload in
+  (* Checked before any page is skipped or allocated: an oversized payload
+     fits no page and would otherwise allocate a fresh one to fail on. *)
+  if len = 0 || len > Page.max_payload then invalid_arg "Heap.insert: bad payload size";
   let try_page pid =
     Buffer_pool.with_page_opt t.pool pid (fun page ->
         match Page.insert page ~payload with
@@ -27,8 +31,11 @@ let insert t ~lsn ~key ~value =
           Some { page = pid; slot }
         | None -> None)
   in
-  (* Try the most recently used page first, then the rest, then allocate. *)
-  let rec scan = function
+  (* First fit, newest page first, then allocate. The newest page is tried
+     through the pool; an older page is fetched only when its free space,
+     read without a pin, says it fits ([Page.insert] succeeds exactly
+     then), so probing full pages neither misses nor evicts. *)
+  let rec scan ~newest = function
     | [] ->
       let pid = Disk.allocate t.disk in
       t.pages <- pid :: t.pages;
@@ -36,11 +43,12 @@ let insert t ~lsn ~key ~value =
       | Some rid -> rid
       | None -> failwith "Heap.insert: record does not fit an empty page")
     | pid :: rest -> (
-      match try_page pid with
+      let fits = newest || Buffer_pool.free_space t.pool pid >= len in
+      match if fits then try_page pid else None with
       | Some rid -> rid
-      | None -> scan rest)
+      | None -> scan ~newest:false rest)
   in
-  scan t.pages
+  scan ~newest:true t.pages
 
 let insert_at t ~lsn rid ~key ~value =
   let payload = Record.encode ~key ~value in

@@ -1,9 +1,11 @@
 (** Heap file: keyed integer records across slotted pages.
 
-    The heap owns every page of its disk and keeps a volatile free-space hint
-    so inserts fill pages densely — consecutive inserts co-locate on a page,
+    The heap owns every page of its disk and places records first fit, so
+    inserts fill pages densely — consecutive inserts co-locate on a page,
     which is exactly the situation of the paper's Figure 8 ("x is stored on
-    the same page p as y").
+    the same page p as y"). It keeps no free-space map: the fit of an older
+    page is read from the page itself through {!Buffer_pool.free_space},
+    which is exact after a crash and after recovery's page writes.
 
     All mutators take the LSN of the log record describing them and stamp it
     into the page, enabling idempotent physical redo. The heap itself is
@@ -26,8 +28,12 @@ val recover : Disk.t -> Buffer_pool.t -> t
 
 (** [insert t ~lsn ~key ~value] places a record, allocating a fresh page when
     none of the known pages fits, and returns its rid. First fit: the newest
-    page first, then the older pages newest to oldest. Only the page that
-    takes the record is marked dirty. *)
+    page first, then the older pages newest to oldest. The newest page is
+    tried through the pool; an older page is pinned only when its
+    {!Buffer_pool.free_space} fits the record, so at most two pages are
+    fetched. Only the page that takes the record is marked dirty. Raises
+    [Invalid_argument], before any page is allocated, on a record whose
+    payload no page can take. *)
 val insert : t -> lsn:int64 -> key:string -> value:int -> rid
 
 (** [insert_at t ~lsn rid ~key ~value] re-creates a record at a specific rid

@@ -6,6 +6,7 @@ type t = { b : bytes; mutable live : int }
 let size = 4096
 let header_bytes = 12
 let dir_entry_bytes = 4
+let max_payload = size - header_bytes - dir_entry_bytes
 
 let lsn t = Bytes.get_int64_be t.b 0
 let set_lsn t v = Bytes.set_int64_be t.b 0 v
@@ -71,7 +72,7 @@ let contiguous_free t = data_floor t - dir_end t
    directory slot. Returns [None] if even compaction cannot make room. *)
 let place t ~payload ~want_slot =
   let len = Bytes.length payload in
-  if len = 0 || len > size - header_bytes - dir_entry_bytes then
+  if len = 0 || len > max_payload then
     invalid_arg "Page.insert: bad payload size";
   (* Fresh inserts never reuse a dead slot: a tombstoned slot may still be
      the target of some transaction's rollback or of restart redo

@@ -25,6 +25,10 @@ type t
 (** Page capacity in bytes. *)
 val size : int
 
+(** Largest payload an empty page takes: {!size} less the header and one
+    directory entry. *)
+val max_payload : int
+
 (** A fresh, empty page with LSN 0. *)
 val create : unit -> t
 
@@ -40,8 +44,9 @@ val set_lsn : t -> int64 -> unit
     page cannot fit the payload. Dead slots are never reused: a tombstoned
     slot may still be the target of a rollback's or restart-redo's
     {!insert_at}, so it stays reserved (ghost-record rule; the 4-byte
-    directory entry is the price). Raises [Invalid_argument] on an empty or
-    oversized payload. *)
+    directory entry is the price). It succeeds exactly when
+    [free_space t >= Bytes.length payload]. Raises [Invalid_argument] on an
+    empty payload or one longer than {!max_payload}. *)
 val insert : t -> payload:bytes -> int option
 
 (** [insert_at t ~slot ~payload] places a record in a specific (currently

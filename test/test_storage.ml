@@ -83,6 +83,20 @@ let test_page_fill_until_full () =
   Alcotest.(check bool) "fits roughly 39 records" true (!n >= 38 && !n <= 40);
   Alcotest.(check bool) "page reports little space" true (Page.free_space p < 104)
 
+(* [free_space] is the exact fit bound [Heap.insert] skips pages by. *)
+let test_page_insert_fits_exactly () =
+  let p = Page.create () in
+  let body = String.make 100 'x' in
+  while Page.insert p ~payload:(payload body) <> None do
+    ()
+  done;
+  let free = Page.free_space p in
+  Alcotest.(check bool) "one byte too many" true
+    (Page.insert (Page.copy p) ~payload:(payload (String.make (free + 1) 'y')) = None);
+  Alcotest.(check bool) "exactly free_space" true
+    (Page.insert p ~payload:(payload (String.make free 'y')) <> None);
+  Alcotest.(check bool) "nothing more fits" true (Page.insert p ~payload:(payload "z") = None)
+
 let test_page_compaction_recovers_space () =
   let p = Page.create () in
   let slots = ref [] in
@@ -252,6 +266,31 @@ let prop_page_model =
           && Page.live !p = Page_model.live m)
         (List.mapi (fun i op -> (i, op)) ops))
 
+let prop_page_insert_iff_free_space =
+  QCheck2.Test.make ~name:"page insert succeeds iff free_space >= payload length" ~count:300
+    ~print:QCheck2.Print.(list pp_page_op)
+    QCheck2.Gen.(list_size (int_range 1 200) page_op_gen)
+    (fun ops ->
+      let p = Page.create () in
+      List.for_all
+        (fun op ->
+          let body n = Bytes.make n 'p' in
+          match op with
+          | Insert n ->
+            let fits = Page.free_space p >= n in
+            Option.is_some (Page.insert p ~payload:(body n)) = fits
+          | Insert_at (delta, n) ->
+            ignore (Page.insert_at p ~slot:(max 0 (Page.slot_count p + delta)) ~payload:(body n));
+            true
+          | Update (slot, n) ->
+            ignore (Page.update p ~slot ~payload:(body (max n 1)));
+            true
+          | Delete slot ->
+            ignore (Page.delete p ~slot);
+            true
+          | Disk_round_trip -> true)
+        ops)
+
 (* --- Record --- *)
 
 let test_record_roundtrip () =
@@ -299,6 +338,17 @@ let test_disk_counters () =
   Alcotest.(check int) "writes" 1 (Disk.write_count d);
   Disk.reset_counters d;
   Alcotest.(check int) "reset" 0 (Disk.read_count d + Disk.write_count d)
+
+let test_disk_free_space () =
+  let d = Disk.create () in
+  let pid = Disk.allocate d in
+  let p = Page.create () in
+  ignore (Page.insert p ~payload:(payload "abc"));
+  Disk.write d pid p;
+  Alcotest.(check int) "stable image's free space" (Page.free_space p) (Disk.free_space d pid);
+  Alcotest.(check int) "no read counted" 0 (Disk.read_count d);
+  Alcotest.check_raises "unallocated" (Invalid_argument "Disk: unallocated page id") (fun () ->
+      ignore (Disk.free_space d 1))
 
 (* --- Buffer pool --- *)
 
@@ -388,6 +438,28 @@ let test_pool_all_pinned () =
       Bp.with_page pool p0 ~write:false (fun _ ->
           Bp.with_page pool p1 ~write:false (fun _ -> ())))
 
+(* [free_space] reads the resident frame (newer than its disk image while
+   dirty) or else the disk, and leaves every pool counter and the LRU
+   order alone. *)
+let test_pool_free_space_side_effect_free () =
+  let d = Disk.create () in
+  let a = Disk.allocate d and b = Disk.allocate d in
+  let pool = Bp.create ~capacity:1 d in
+  Bp.with_page pool a ~write:true (fun page ->
+      ignore (Page.insert page ~payload:(payload (String.make 100 'a'))));
+  let resident = Bp.with_page pool a ~write:false Page.free_space in
+  let counters () =
+    (Bp.hit_count pool, Bp.miss_count pool, Bp.eviction_count pool, Disk.read_count d)
+  in
+  let before = counters () in
+  Alcotest.(check int) "dirty frame read" resident (Bp.free_space pool a);
+  Alcotest.(check bool) "disk image is older" true (Disk.free_space d a > resident);
+  Alcotest.(check int) "uncached page read from disk" (Page.free_space (Page.create ()))
+    (Bp.free_space pool b);
+  Alcotest.(check bool) "no hit, miss, eviction or read" true (counters () = before);
+  Alcotest.(check (list int)) "frame still cached and dirty" [ a ] (Bp.dirty_pages pool);
+  Alcotest.(check int) "no pin" 0 (Bp.pin_count pool)
+
 (* --- Heap --- *)
 
 let test_heap_insert_read_update_delete () =
@@ -467,6 +539,21 @@ let test_heap_failed_fit_stays_clean () =
   Bp.flush_all pool;
   Alcotest.(check int) "one write-back" (writes + 1) (Disk.write_count d)
 
+let test_heap_bad_payload_allocates_nothing () =
+  let d = Disk.create () in
+  let pool = Bp.create ~capacity:4 d in
+  let h = Heap.create d pool in
+  let raises key =
+    match Heap.insert h ~lsn:1L ~key ~value:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> Disk.page_count d = List.length (Heap.page_ids h)
+  in
+  Alcotest.(check bool) "empty key, empty heap" true (raises "");
+  Alcotest.(check int) "no page allocated" 0 (Disk.page_count d);
+  ignore (Heap.insert h ~lsn:2L ~key:"a" ~value:1);
+  Alcotest.(check bool) "oversized key" true (raises (String.make 256 'k'));
+  Alcotest.(check int) "still one page" 1 (Disk.page_count d)
+
 let test_heap_iter_order_stable () =
   let d = Disk.create () in
   let pool = Bp.create ~capacity:8 d in
@@ -530,6 +617,121 @@ let prop_heap_model =
       let h2 = Heap.recover d pool2 in
       live_ok && agree h2)
 
+type heap_op =
+  | H_insert of int (* key length *)
+  | H_exact of int (* a record exactly as long as page [i]'s free space *)
+  | H_delete of int (* index into the inserted records *)
+  | H_update of int
+  | H_undo of int (* index into the deleted records: [insert_at] at its rid *)
+  | H_flush
+  | H_crash (* [drop_all], then [Heap.recover] *)
+
+let heap_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun n -> H_insert n) (int_range 1 255));
+        (3, map (fun i -> H_exact i) (int_bound 1000));
+        (2, map (fun i -> H_delete i) (int_bound 1000));
+        (2, map (fun i -> H_update i) (int_bound 1000));
+        (2, map (fun i -> H_undo i) (int_bound 1000));
+        (1, pure H_flush);
+        (1, pure H_crash);
+      ])
+
+let pp_heap_op = function
+  | H_insert n -> Printf.sprintf "insert %d" n
+  | H_exact i -> Printf.sprintf "exact %d" i
+  | H_delete i -> Printf.sprintf "delete %d" i
+  | H_update i -> Printf.sprintf "update %d" i
+  | H_undo i -> Printf.sprintf "undo %d" i
+  | H_flush -> "flush"
+  | H_crash -> "crash"
+
+(* The placement oracle: the first-fit loop [Heap.insert] had before it
+   skipped pages by free space, pinning every page newest to oldest and
+   trying the insert, here on a copy so the probe changes nothing. [None]
+   means a fresh page. *)
+let reference_first_fit pool pages_newest_first ~payload =
+  List.find_map
+    (fun pid ->
+      Bp.with_page pool pid ~write:false (fun page ->
+          Option.map (fun slot -> { Heap.page = pid; slot }) (Page.insert (Page.copy page) ~payload)))
+    pages_newest_first
+
+let nth_opt l i = match l with [] -> None | _ -> List.nth_opt l (i mod List.length l)
+
+let prop_heap_first_fit =
+  QCheck2.Test.make ~name:"heap placement equals the reference first-fit scan" ~count:100
+    ~print:QCheck2.Print.(list pp_heap_op)
+    QCheck2.Gen.(list_size (int_range 1 400) heap_op_gen)
+    (fun ops ->
+      let d = Disk.create () in
+      let pool = Bp.create ~capacity:4 d in
+      let h = ref (Heap.create d pool) in
+      let lsn = ref 0L in
+      let next_lsn () =
+        lsn := Int64.succ !lsn;
+        !lsn
+      in
+      let inserted = ref [] and deleted = ref [] in
+      (* A record of [n] key bytes has a payload of [n + 10]. *)
+      let key_length = function
+        | H_insert n -> Some n
+        | H_exact i ->
+          Option.bind (nth_opt (Heap.page_ids !h) i) (fun pid ->
+              let free = Bp.with_page pool pid ~write:false Page.free_space in
+              if free >= 11 && free <= 265 then Some (free - 10) else None)
+        | _ -> None
+      in
+      List.for_all
+        (fun (step, op) ->
+          match (key_length op, op) with
+          | Some n, _ ->
+            let key = String.make n (Char.chr (Char.code 'a' + (step mod 26))) in
+            let expected =
+              match
+                reference_first_fit pool
+                  (List.rev (Heap.page_ids !h))
+                  ~payload:(Record.encode ~key ~value:step)
+              with
+              | Some rid -> rid
+              | None -> { Heap.page = Disk.page_count d; slot = 0 }
+            in
+            let probes () = Bp.hit_count pool + Bp.miss_count pool in
+            let before = probes () in
+            let rid = Heap.insert !h ~lsn:(next_lsn ()) ~key ~value:step in
+            inserted := (rid, key, step) :: !inserted;
+            Heap.rid_equal rid expected && probes () - before <= 2
+          | _, H_delete i ->
+            Option.iter
+              (fun ((rid, _, _) as r) ->
+                if Heap.delete !h ~lsn:(next_lsn ()) rid then deleted := r :: !deleted)
+              (nth_opt !inserted i);
+            true
+          | _, H_update i ->
+            Option.iter
+              (fun (rid, _, v) -> ignore (Heap.update !h ~lsn:(next_lsn ()) rid ~value:(v + 1)))
+              (nth_opt !inserted i);
+            true
+          | _, H_undo i ->
+            Option.iter
+              (fun ((rid, key, value) as r) ->
+                if Heap.insert_at !h ~lsn:(next_lsn ()) rid ~key ~value then
+                  deleted := List.filter (fun x -> x != r) !deleted)
+              (nth_opt !deleted i);
+            true
+          | _, H_flush ->
+            Bp.flush_all pool;
+            true
+          | _, H_crash ->
+            Bp.drop_all pool;
+            h := Heap.recover d pool;
+            true
+          | None, (H_insert _ | H_exact _) -> true)
+        (List.mapi (fun i op -> (i, op)) ops)
+      && Bp.pin_count pool = 0)
+
 (* A tiny 2-frame pool under a scattered access pattern must still persist
    every write once flushed. *)
 let test_pool_thrashing_durability () =
@@ -564,11 +766,13 @@ let () =
           Alcotest.test_case "update resize" `Quick test_page_update_resize;
           Alcotest.test_case "update dead" `Quick test_page_update_dead;
           Alcotest.test_case "fill until full" `Quick test_page_fill_until_full;
+          Alcotest.test_case "insert fits exactly" `Quick test_page_insert_fits_exactly;
           Alcotest.test_case "compaction" `Quick test_page_compaction_recovers_space;
           Alcotest.test_case "insert_at" `Quick test_page_insert_at;
           Alcotest.test_case "lsn" `Quick test_page_lsn;
           Alcotest.test_case "live listing" `Quick test_page_live;
           QCheck_alcotest.to_alcotest prop_page_model;
+          QCheck_alcotest.to_alcotest prop_page_insert_iff_free_space;
         ] );
       ( "record",
         [
@@ -581,6 +785,7 @@ let () =
           Alcotest.test_case "copy semantics" `Quick test_disk_copy_semantics;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
           Alcotest.test_case "counters" `Quick test_disk_counters;
+          Alcotest.test_case "free space" `Quick test_disk_free_space;
         ] );
       ( "buffer_pool",
         [
@@ -592,6 +797,8 @@ let () =
           Alcotest.test_case "drop_all discards" `Quick test_pool_drop_all_discards;
           Alcotest.test_case "dirty pages" `Quick test_pool_dirty_pages;
           Alcotest.test_case "all pinned" `Quick test_pool_all_pinned;
+          Alcotest.test_case "free space is side-effect free" `Quick
+            test_pool_free_space_side_effect_free;
         ] );
       ( "heap",
         [
@@ -602,7 +809,10 @@ let () =
           Alcotest.test_case "iter order" `Quick test_heap_iter_order_stable;
           Alcotest.test_case "failed fit leaves page clean" `Quick
             test_heap_failed_fit_stays_clean;
+          Alcotest.test_case "bad payload allocates nothing" `Quick
+            test_heap_bad_payload_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_heap_model;
+          QCheck_alcotest.to_alcotest prop_heap_first_fit;
         ] );
       ( "stress",
         [ Alcotest.test_case "pool thrashing durability" `Quick test_pool_thrashing_durability ]
