@@ -375,16 +375,22 @@ let check_key_locations t =
 
 (* In-simulation, the sequence "mutate page; append matching log record" is
    atomic (no yield point in between), so reserving the next LSN before the
-   heap placement preserves the WAL invariant observably. [insert_row]
-   leaves the key's location entry alone; [do_insert] updates it. *)
-let insert_row t txn ~key ~value =
+   heap placement preserves the WAL invariant observably. [place] is
+   [Heap.insert] or a [Heap.bulk_insert] placer. *)
+let log_insert t txn place ~key ~value =
   let lsn = Log.last_lsn t.log + 1 in
-  let rid = Heap.insert t.heap ~lsn:(Int64.of_int lsn) ~key ~value in
+  let rid = place ~lsn:(Int64.of_int lsn) ~key ~value in
   let lsn' =
     Log.append t.log (Op { txn = txn.id; op = Insert { rid; key; value }; prev = txn.last_lsn })
   in
   assert (lsn' = lsn);
   txn.last_lsn <- lsn;
+  rid
+
+(* [insert_row] leaves the key's location entry alone; [do_insert] updates
+   it. *)
+let insert_row t txn ~key ~value =
+  let rid = log_insert t txn (Heap.insert t.heap) ~key ~value in
   Btree.insert t.index key rid;
   txn.index_ops <- Indexed (key, rid) :: txn.index_ops;
   rid
@@ -785,12 +791,14 @@ let prepare t txn =
       Log.flush t.log;
       txn.tstate <- Prepared)
 
-(* Index consistency after undoing a transaction recovered from the log:
-   simplest correct answer is a full rebuild from the heap. *)
+(* Index consistency after restart, or after undoing a transaction
+   recovered from the log: simplest correct answer is a full rebuild from
+   the heap, in its iteration order (a later live record of a key wins). *)
 let rebuild_index t =
-  t.index <- Btree.create ();
-  forget_locs t;
-  Heap.iter t.heap (fun rid key _ -> Btree.insert t.index key rid)
+  let rows = ref [] in
+  Heap.iter t.heap (fun rid key _ -> rows := (key, rid) :: !rows);
+  t.index <- Btree.of_bindings (Array.of_list (List.rev !rows));
+  forget_locs t
 
 (* In-doubt transactions lost their in-memory access list to the crash;
    their net value change is recovered by walking the log's per-transaction
@@ -937,11 +945,24 @@ let committed_total t =
       if internal_key key then acc
       else match Heap.read t.heap rid with Some (_, v) -> acc + v | None -> acc)
 
+(* The bulk path: the same log records, LSNs, page images and rids as one
+   [insert_row] per row, but the heap places rows without rescanning older
+   pages, the index is built once from the placed rows, and no per-row
+   undo entry is kept (nothing rolls the load back). Key locations are
+   reset once instead of probed per row. *)
 let load t rows =
   let txn = fresh_txn t in
   ignore (Log.append t.log (Begin txn.id));
-  (* bulk path: no per-row symbol probe; the entries are reset once *)
-  List.iter (fun (key, value) -> ignore (insert_row t txn ~key ~value)) rows;
+  let placed = Array.make (List.length rows) ("", loc_absent) in
+  Heap.bulk_insert t.heap (fun place ->
+      List.iteri
+        (fun i (key, value) -> placed.(i) <- (key, log_insert t txn place ~key ~value))
+        rows);
+  let bindings =
+    if Btree.is_empty t.index then placed
+    else Array.append (Array.of_list (Btree.to_list t.index)) placed
+  in
+  t.index <- Btree.of_bindings bindings;
   forget_locs t;
   ignore (Log.append t.log (Commit txn.id));
   Log.flush t.log

@@ -117,7 +117,13 @@ val name : t -> string
 val capabilities : t -> capabilities
 
 (** [load t rows] installs initial committed data; call before any traffic
-    (setup only, no fiber needed, consumes no virtual time). *)
+    (setup only, no fiber needed, consumes no virtual time). One
+    transaction logs and places the rows in order, exactly as one insert
+    each would (same log records, LSNs, page images and rids), but in
+    bulk: the heap skips older pages no row fits
+    ({!Icdb_storage.Heap.bulk_insert}) and the key index is built once
+    ({!Icdb_util.Btree.of_bindings}). Of rows with the same key, the last
+    one is indexed. *)
 val load : t -> (string * int) list -> unit
 
 (** {1 Transaction interface} *)

@@ -7,16 +7,21 @@ type t = {
   mutable writes : int;
 }
 
-let create () = { pages = Array.make 16 (Page.create ()); count = 0; reads = 0; writes = 0 }
+(* Every fresh page is this one image. [read] and [write] copy, so no disk
+   image is ever mutated in place and sharing it is safe, across domains
+   too. *)
+let empty = Page.create ()
+
+let create () = { pages = Array.make 16 empty; count = 0; reads = 0; writes = 0 }
 
 let allocate t =
   if t.count = Array.length t.pages then begin
-    let bigger = Array.make (2 * t.count) (Page.create ()) in
+    let bigger = Array.make (2 * t.count) empty in
     Array.blit t.pages 0 bigger 0 t.count;
     t.pages <- bigger
   end;
   let pid = t.count in
-  t.pages.(pid) <- Page.create ();
+  t.pages.(pid) <- empty;
   t.count <- t.count + 1;
   pid
 

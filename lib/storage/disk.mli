@@ -13,7 +13,10 @@ type page_id = int
 
 val create : unit -> t
 
-(** [allocate t] extends the disk by one zeroed page and returns its id. *)
+(** [allocate t] extends the disk by one zeroed page and returns its id.
+    Fresh pages share one read-only empty image, so allocating costs no
+    page of memory until the page is first written; a bulk load's pages
+    each cost their 4 KB only when the pool writes them back. *)
 val allocate : t -> page_id
 
 (** [read t pid] is a private copy of the stable image.

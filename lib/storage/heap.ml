@@ -17,38 +17,107 @@ let recover disk pool =
 
 let stamp page lsn = if Int64.compare lsn (Page.lsn page) > 0 then Page.set_lsn page lsn
 
-let insert t ~lsn ~key ~value =
+(* Checked before any page is skipped or allocated: an oversized payload
+   fits no page and would otherwise allocate a fresh one to fail on. *)
+let encode ~key ~value =
   let payload = Record.encode ~key ~value in
   let len = Bytes.length payload in
-  (* Checked before any page is skipped or allocated: an oversized payload
-     fits no page and would otherwise allocate a fresh one to fail on. *)
   if len = 0 || len > Page.max_payload then invalid_arg "Heap.insert: bad payload size";
-  let try_page pid =
-    Buffer_pool.with_page_opt t.pool pid (fun page ->
-        match Page.insert page ~payload with
-        | Some slot ->
-          stamp page lsn;
-          Some { page = pid; slot }
-        | None -> None)
-  in
-  (* First fit, newest page first, then allocate. The newest page is tried
-     through the pool; an older page is fetched only when its free space,
-     read without a pin, says it fits ([Page.insert] succeeds exactly
-     then), so probing full pages neither misses nor evicts. *)
-  let rec scan ~newest = function
-    | [] ->
+  payload
+
+let try_page t ~lsn ~payload pid =
+  Buffer_pool.with_page_opt t.pool pid (fun page ->
+      match Page.insert page ~payload with
+      | Some slot ->
+        stamp page lsn;
+        Some { page = pid; slot }
+      | None -> None)
+
+(* An older page is fetched only when its free space, read without a pin,
+   says it fits, and [Page.insert] succeeds exactly then. *)
+let fill t ~lsn ~payload pid =
+  match try_page t ~lsn ~payload pid with
+  | Some rid -> rid
+  | None -> failwith "Heap.insert: a page with room refused the record"
+
+(* First fit: the newest page through the pool, then [into_older ()], the
+   first older page (newest to oldest) that fits, then a fresh page.
+   [retire] sees the newest page just before a fresh one replaces it. *)
+let place t ~lsn ~payload ~into_older ~retire =
+  let on_newest = match t.pages with [] -> None | pid :: _ -> try_page t ~lsn ~payload pid in
+  match on_newest with
+  | Some rid -> rid
+  | None -> (
+    match into_older () with
+    | Some rid -> rid
+    | None ->
+      (match t.pages with pid :: _ -> retire pid | [] -> ());
       let pid = Disk.allocate t.disk in
       t.pages <- pid :: t.pages;
-      (match try_page pid with
+      (match try_page t ~lsn ~payload pid with
       | Some rid -> rid
-      | None -> failwith "Heap.insert: record does not fit an empty page")
-    | pid :: rest -> (
-      let fits = newest || Buffer_pool.free_space t.pool pid >= len in
-      match if fits then try_page pid else None with
-      | Some rid -> rid
-      | None -> scan ~newest:false rest)
+      | None -> failwith "Heap.insert: record does not fit an empty page"))
+
+let insert t ~lsn ~key ~value =
+  let payload = encode ~key ~value in
+  let len = Bytes.length payload in
+  let into_older () =
+    match t.pages with
+    | [] -> None
+    | _ :: older ->
+      List.find_opt (fun pid -> Buffer_pool.free_space t.pool pid >= len) older
+      |> Option.map (fill t ~lsn ~payload)
   in
-  scan ~newest:true t.pages
+  place t ~lsn ~payload ~into_older ~retire:ignore
+
+(* The older pages of a bulk insert, oldest first, with the free space of
+   each. Only the bulk insert writes while it runs, so free space only
+   shrinks, and [largest < len] proves no older page fits [len] bytes. *)
+type older = {
+  mutable pids : Disk.page_id array;
+  mutable free : int array;
+  mutable n : int;
+  mutable largest : int;
+}
+
+let bulk_insert t f =
+  let pids = match t.pages with [] -> [||] | _ :: older -> Array.of_list (List.rev older) in
+  let free = Array.map (Buffer_pool.free_space t.pool) pids in
+  let o = { pids; free; n = Array.length pids; largest = Array.fold_left max min_int free } in
+  let retire pid =
+    if o.n = Array.length o.pids then begin
+      let grow a = Array.append a (Array.make (max 16 o.n) 0) in
+      o.pids <- grow o.pids;
+      o.free <- grow o.free
+    end;
+    o.pids.(o.n) <- pid;
+    o.free.(o.n) <- Buffer_pool.free_space t.pool pid;
+    o.largest <- max o.largest o.free.(o.n);
+    o.n <- o.n + 1
+  in
+  let into_older ~lsn ~payload () =
+    let len = Bytes.length payload in
+    if o.largest < len then None
+    else begin
+      let i = ref (o.n - 1) in
+      while o.free.(!i) < len do
+        decr i
+      done;
+      let rid = fill t ~lsn ~payload o.pids.(!i) in
+      let was = o.free.(!i) in
+      o.free.(!i) <- Buffer_pool.free_space t.pool o.pids.(!i);
+      if was = o.largest then begin
+        o.largest <- min_int;
+        for j = 0 to o.n - 1 do
+          o.largest <- max o.largest o.free.(j)
+        done
+      end;
+      Some rid
+    end
+  in
+  f (fun ~lsn ~key ~value ->
+      let payload = encode ~key ~value in
+      place t ~lsn ~payload ~into_older:(into_older ~lsn ~payload) ~retire)
 
 let insert_at t ~lsn rid ~key ~value =
   let payload = Record.encode ~key ~value in

@@ -5,7 +5,8 @@
     which is exactly the situation of the paper's Figure 8 ("x is stored on
     the same page p as y"). It keeps no free-space map: the fit of an older
     page is read from the page itself through {!Buffer_pool.free_space},
-    which is exact after a crash and after recovery's page writes.
+    which is exact after a crash and after recovery's page writes. Only
+    {!bulk_insert} holds one, for the length of the call.
 
     All mutators take the LSN of the log record describing them and stamp it
     into the page, enabling idempotent physical redo. The heap itself is
@@ -35,6 +36,16 @@ val recover : Disk.t -> Buffer_pool.t -> t
     [Invalid_argument], before any page is allocated, on a record whose
     payload no page can take. *)
 val insert : t -> lsn:int64 -> key:string -> value:int -> rid
+
+(** [bulk_insert t f] is [f place], where [place ~lsn ~key ~value] places
+    one record exactly as {!insert} would: the same first-fit choice, pool
+    accesses, rid and page image. It is meant for many inserts in a row,
+    with nothing else writing to the heap while [f] runs, and [place] must
+    not be called after [f] returns. Each older page's free space is read
+    once, at the start or when a fresh page retires it, and the largest of
+    them is tracked: a record longer than that skips the older pages in
+    O(1) where {!insert} probes each of them. *)
+val bulk_insert : t -> ((lsn:int64 -> key:string -> value:int -> rid) -> 'a) -> 'a
 
 (** [insert_at t ~lsn rid ~key ~value] re-creates a record at a specific rid
     (redo of an insert / undo of a delete). [false] if the slot is live. *)

@@ -265,6 +265,133 @@ let remove t key =
   end;
   removed
 
+(* --- bulk build --- *)
+
+(* Start of every maximal non-descending run of [a], then [Array.length a]. *)
+let run_starts a =
+  let n = Array.length a in
+  let starts = ref [ 0 ] in
+  for i = 1 to n - 1 do
+    if String.compare (fst a.(i - 1)) (fst a.(i)) > 0 then starts := i :: !starts
+  done;
+  Array.of_list (List.rev (n :: !starts))
+
+(* One pass of a natural merge sort: merges runs [2j] and [2j + 1] of [src]
+   into [dst] and returns the merged runs' starts. On equal keys the left
+   run goes first, so the sort is stable. *)
+let merge_pass src dst starts =
+  let runs = Array.length starts - 1 in
+  let merged = Array.make (((runs + 1) / 2) + 1) (Array.length src) in
+  let j = ref 0 in
+  while !j < runs do
+    let lo = starts.(!j) in
+    (* an odd last run has no partner: [mid = hi], and it is copied *)
+    let mid = starts.(min (!j + 1) runs) and hi = starts.(min (!j + 2) runs) in
+    merged.(!j / 2) <- lo;
+    let l = ref lo and r = ref mid in
+    for k = lo to hi - 1 do
+      if !r >= hi || (!l < mid && String.compare (fst src.(!l)) (fst src.(!r)) <= 0) then begin
+        dst.(k) <- src.(!l);
+        incr l
+      end
+      else begin
+        dst.(k) <- src.(!r);
+        incr r
+      end
+    done;
+    j := !j + 2
+  done;
+  merged
+
+(* Stable sort by key in O(n log r) compares for [r] ascending runs. The
+   input is only read: a sorted one is returned as is, otherwise the passes
+   alternate between two fresh buffers. *)
+let sort_bindings bindings =
+  let n = Array.length bindings in
+  let starts = ref (run_starts bindings) in
+  let src = ref bindings and spare = ref None in
+  while Array.length !starts > 2 do
+    let dst = match !spare with Some a -> a | None -> Array.make n bindings.(0) in
+    starts := merge_pass !src dst !starts;
+    spare := if !src == bindings then None else Some !src;
+    src := dst
+  done;
+  !src
+
+(* [k] items into [groups] near-equal groups: the first [k mod groups] take
+   one more. Calls [f g first len] for group [g]. *)
+let split_evenly k groups f =
+  let base = k / groups and extra = k mod groups in
+  let first = ref 0 in
+  for g = 0 to groups - 1 do
+    let len = if g < extra then base + 1 else base in
+    f g !first len;
+    first := !first + len
+  done
+
+let of_bindings bindings =
+  let sorted = sort_bindings bindings in
+  let n = Array.length sorted in
+  (* Of equal keys, the last binding wins: [i] is kept unless its
+     successor carries the same key. *)
+  let last_of_key i = i = n - 1 || not (String.equal (fst sorted.(i)) (fst sorted.(i + 1))) in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if last_of_key i then incr count
+  done;
+  let count = !count in
+  let kept =
+    if count = n then Fun.id
+    else begin
+      let keep = Array.make count 0 and k = ref 0 in
+      for i = 0 to n - 1 do
+        if last_of_key i then begin
+          keep.(!k) <- i;
+          incr k
+        end
+      done;
+      Array.get keep
+    end
+  in
+  if count = 0 then create ()
+  else begin
+    (* Leaves as full as [order] allows, split evenly: with more than
+       [order] keys every leaf holds at least [min_keys]. *)
+    let leaves = (count + order - 1) / order in
+    let level = Array.make leaves (Leaf (new_leaf ())) in
+    let mins = Array.make leaves "" in
+    let prev = ref None in
+    split_evenly count leaves (fun g first len ->
+        let binding j = sorted.(kept (first + j)) in
+        let l =
+          {
+            lkeys = Array.init len (fun j -> fst (binding j));
+            lvals = Array.init len (fun j -> snd (binding j));
+            next = None;
+          }
+        in
+        Option.iter (fun p -> p.next <- Some l) !prev;
+        prev := Some l;
+        level.(g) <- Leaf l;
+        mins.(g) <- l.lkeys.(0));
+    (* Parents of [order + 1] children at most, split evenly, so every
+       non-root internal node has at least [min_keys + 1]. *)
+    let rec build level mins =
+      let k = Array.length level in
+      if k = 1 then level.(0)
+      else begin
+        let parents = (k + order) / (order + 1) in
+        let up = Array.make parents level.(0) and up_mins = Array.make parents "" in
+        split_evenly k parents (fun g first len ->
+            let seps = Array.sub mins (first + 1) (len - 1) in
+            up.(g) <- Internal { seps; children = Array.sub level first len };
+            up_mins.(g) <- mins.(first));
+        build up up_mins
+      end
+    in
+    { root = build level mins; count }
+  end
+
 (* --- traversal --- *)
 
 let rec leftmost = function

@@ -11,6 +11,20 @@ type 'a t
 
 val create : unit -> 'a t
 
+(** [of_bindings bindings] is the tree that inserting [bindings] one by one,
+    in array order, into an empty tree would hold: of equal keys the last
+    binding wins. The array is only read.
+
+    Cost: a stable natural merge sort, O(n log r) key compares for [n]
+    bindings forming [r] maximal ascending runs (a sorted array is one run
+    and takes n - 1 compares, no copy), then a bottom-up build that visits
+    each binding once. Nodes are filled as far as the fanout allows, split
+    evenly so that every non-root node is at least half full; the leaves
+    are linked. The tree is therefore no higher, and usually shallower,
+    than one built by repeated {!insert}. Extra space: up to two buffers of
+    [n] bindings while sorting. *)
+val of_bindings : (string * 'a) array -> 'a t
+
 (** [insert t key v] adds or replaces the binding. *)
 val insert : 'a t -> string -> 'a -> unit
 

@@ -546,6 +546,48 @@ let test_load_placement () =
         (i mod 163)
   done
 
+(* The bulk preload over duplicate keys in four overlapping ascending runs:
+   run [r] loads keys [100r .. 100r + 299], so most keys repeat and the
+   last run holding a key wins. The index's keys come out sorted, and the
+   locations a transaction caches agree with the index. The keys are all
+   the same length, so rows fill pages in load order and the restart's
+   rebuild from the heap keeps the same winners. *)
+let test_load_duplicates_and_runs () =
+  let eng = Sim.create () in
+  let db = Db.create eng (locking_config "s") in
+  let key i = Printf.sprintf "k%04d" i in
+  let run r = List.init 300 (fun i -> (key ((100 * r) + i), (1000 * r) + i)) in
+  Db.load db (List.concat_map run [ 0; 1; 2; 3 ]);
+  let keys = List.init 600 Fun.id in
+  let expected k =
+    let r = min 3 (k / 100) in
+    (1000 * r) + k - (100 * r)
+  in
+  let check_state what =
+    Alcotest.(check (list string)) (what ^ ": keys sorted") (List.map key keys)
+      (Db.committed_keys db);
+    List.iter
+      (fun k ->
+        Alcotest.(check (option int)) (what ^ ": last duplicate wins") (Some (expected k))
+          (Db.committed_value db (key k)))
+      keys;
+    Fiber.spawn eng (fun () ->
+        let t = Db.begin_txn db in
+        List.iter
+          (fun k ->
+            Alcotest.(check (option int)) (what ^ ": read") (Some (expected k))
+              (ok (Db.read db t (key k))))
+          keys;
+        ok (Db.commit db t));
+    Sim.run eng;
+    Alcotest.(check (option (pair string string))) (what ^ ": key locations") None
+      (Db.check_key_locations db)
+  in
+  check_state "loaded";
+  Db.crash db;
+  ignore (Db.restart db);
+  check_state "restarted"
+
 (* --- checkpointing --- *)
 
 let test_checkpoint_truncates_and_recovers () =
@@ -1146,6 +1188,7 @@ let () =
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "load and keys" `Quick test_load_and_keys;
           Alcotest.test_case "load placement" `Quick test_load_placement;
+          Alcotest.test_case "load duplicates and runs" `Quick test_load_duplicates_and_runs;
           QCheck_alcotest.to_alcotest prop_abort_atomicity;
           QCheck_alcotest.to_alcotest prop_occ_oracle;
           QCheck_alcotest.to_alcotest prop_key_locations;

@@ -350,6 +350,33 @@ let test_disk_free_space () =
   Alcotest.check_raises "unallocated" (Invalid_argument "Disk: unallocated page id") (fun () ->
       ignore (Disk.free_space d 1))
 
+(* Fresh pages share one empty image: writing one of them, or mutating a
+   read copy, leaves the others empty, and every read is a distinct copy. *)
+let test_disk_shared_empty_pages () =
+  let d = Disk.create () in
+  (* 20 pages: past the initial 16-entry array, so its growth is covered *)
+  let pids = List.init 20 (fun _ -> Disk.allocate d) in
+  let p = Disk.read d 3 in
+  ignore (Page.insert p ~payload:(payload "v"));
+  Disk.write d 3 p;
+  let scribbled = Disk.read d 5 in
+  ignore (Page.insert scribbled ~payload:(payload "w"));
+  let empty_free = Page.free_space (Page.create ()) in
+  List.iter
+    (fun pid ->
+      let img = Disk.read d pid in
+      let expect = if pid = 3 then 1 else 0 in
+      Alcotest.(check int) (Printf.sprintf "page %d slots" pid) expect (Page.slot_count img);
+      if pid <> 3 then
+        Alcotest.(check int) (Printf.sprintf "page %d free" pid) empty_free (Disk.free_space d pid))
+    pids;
+  let a = Disk.read d 7 and b = Disk.read d 7 in
+  Alcotest.(check bool) "distinct copies" true (a != b);
+  ignore (Page.insert a ~payload:(payload "x"));
+  Alcotest.(check int) "sibling copy untouched" 0 (Page.slot_count b);
+  Alcotest.(check (option bytes_testable)) "written page kept" (Some (payload "v"))
+    (Page.read (Disk.read d 3) ~slot:0)
+
 (* --- Buffer pool --- *)
 
 let test_pool_caches () =
@@ -732,6 +759,95 @@ let prop_heap_first_fit =
         (List.mapi (fun i op -> (i, op)) ops)
       && Bp.pin_count pool = 0)
 
+type bulk_row =
+  | B_insert of int (* key length *)
+  | B_exact of int (* a record exactly as long as page [i]'s free space *)
+
+let pp_bulk_row = function
+  | B_insert n -> Printf.sprintf "insert %d" n
+  | B_exact i -> Printf.sprintf "exact %d" i
+
+(* [Heap.bulk_insert] against one [Heap.insert] per row, in lockstep on two
+   copies of the same heap. The history leaves long records with holes
+   from deletes, and the rows are mostly shorter, so later rows fit older
+   pages; exact fits take an older page's last byte. Rids, every page's
+   stable image and the pool's hit, miss and eviction counts must agree. *)
+let prop_heap_bulk_insert =
+  QCheck2.Test.make ~name:"bulk insert places rows like one insert per row" ~count:100
+    ~print:QCheck2.Print.(pair (list (pair int int)) (list pp_bulk_row))
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 150) (pair (int_range 0 2) (int_range 100 255)))
+        (list_size (int_range 1 400)
+           (frequency
+              [
+                (4, map (fun n -> B_insert n) (int_range 1 60));
+                (2, map (fun n -> B_insert n) (int_range 61 255));
+                (2, map (fun i -> B_exact i) (int_bound 1000));
+              ])))
+    (fun (history, rows) ->
+      let fresh () =
+        let d = Disk.create () in
+        let pool = Bp.create ~capacity:4 d in
+        (d, pool, Heap.create d pool)
+      in
+      let ((d1, pool1, h1) as one) = fresh () and ((d2, pool2, h2) as bulk) = fresh () in
+      let lsn = ref 0L in
+      let next_lsn () =
+        lsn := Int64.succ !lsn;
+        !lsn
+      in
+      (* History: op 0 deletes an earlier record, others insert. *)
+      let live = ref [] in
+      List.iteri
+        (fun i (op, n) ->
+          let lsn = next_lsn () in
+          match (op, !live) with
+          | 0, _ :: _ ->
+            let rid = List.nth !live (n mod List.length !live) in
+            List.iter (fun (_, _, h) -> ignore (Heap.delete h ~lsn rid)) [ one; bulk ];
+            live := List.filter (fun r -> not (Heap.rid_equal r rid)) !live
+          | _ ->
+            let key = String.make n 'h' in
+            let rid = Heap.insert h1 ~lsn ~key ~value:i in
+            ignore (Heap.insert h2 ~lsn ~key ~value:i);
+            live := rid :: !live)
+        history;
+      let key_length = function
+        | B_insert n -> Some n
+        | B_exact i ->
+          let pids = Heap.page_ids h1 in
+          if pids = [] then None
+          else
+            let free = Bp.free_space pool1 (List.nth pids (i mod List.length pids)) in
+            if free >= 11 && free <= 265 then Some (free - 10) else None
+      in
+      let same_rids =
+        Heap.bulk_insert h2 (fun place ->
+            List.for_all
+              (fun (step, row) ->
+                match key_length row with
+                | None -> true
+                | Some n ->
+                  let key = String.make n (Char.chr (Char.code 'a' + (step mod 26))) in
+                  let lsn = next_lsn () in
+                  let rid = Heap.insert h1 ~lsn ~key ~value:step in
+                  Heap.rid_equal rid (place ~lsn ~key ~value:step))
+              (List.mapi (fun i row -> (i, row)) rows))
+      in
+      let counters pool = (Bp.hit_count pool, Bp.miss_count pool, Bp.eviction_count pool) in
+      let same_counters = counters pool1 = counters pool2 in
+      Bp.flush_all pool1;
+      Bp.flush_all pool2;
+      let image d pid =
+        let p = Disk.read d pid in
+        (Page.lsn p, Page.slot_count p, Page.live p)
+      in
+      same_rids && same_counters
+      && Heap.page_ids h1 = Heap.page_ids h2
+      && List.for_all (fun pid -> image d1 pid = image d2 pid) (Heap.page_ids h1)
+      && Bp.pin_count pool2 = 0)
+
 (* A tiny 2-frame pool under a scattered access pattern must still persist
    every write once flushed. *)
 let test_pool_thrashing_durability () =
@@ -786,6 +902,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
           Alcotest.test_case "counters" `Quick test_disk_counters;
           Alcotest.test_case "free space" `Quick test_disk_free_space;
+          Alcotest.test_case "shared empty pages" `Quick test_disk_shared_empty_pages;
         ] );
       ( "buffer_pool",
         [
@@ -813,6 +930,7 @@ let () =
             test_heap_bad_payload_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_heap_model;
           QCheck_alcotest.to_alcotest prop_heap_first_fit;
+          QCheck_alcotest.to_alcotest prop_heap_bulk_insert;
         ] );
       ( "stress",
         [ Alcotest.test_case "pool thrashing durability" `Quick test_pool_thrashing_durability ]

@@ -348,23 +348,85 @@ let test_btree_range () =
 
 module StrMap = Map.Make (String)
 
+let btree_key k = Printf.sprintf "acct-%d" k
+
+(* Bindings for a bulk-built start: [n] keys, values their array index.
+   Shapes: 0 random, 1 sorted, 2 reversed, 3 two to seven ascending runs,
+   4 heavy duplicates (keys drawn from [n / 4] values). Random keys repeat
+   too, since 4000 values are drawn from. *)
+let bulk_bindings ~shape ~n ~seed =
+  let st = Random.State.make [| seed |] in
+  let range = if shape = 4 then max 1 (n / 4) else 4000 in
+  let keys = Array.init n (fun _ -> btree_key (Random.State.int st range)) in
+  (match shape with
+  | 1 -> Array.stable_sort String.compare keys
+  | 2 -> Array.stable_sort (fun a b -> String.compare b a) keys
+  | 3 ->
+    let runs = 2 + Random.State.int st 6 in
+    let len = (n + runs - 1) / runs in
+    for r = 0 to runs - 1 do
+      let lo = min n (r * len) in
+      let run = Array.sub keys lo (min n (lo + len) - lo) in
+      Array.stable_sort String.compare run;
+      Array.blit run 0 keys lo (Array.length run)
+    done
+  | _ -> ());
+  Array.mapi (fun i k -> (k, i)) keys
+
 (* Model-based property: a random op sequence applied to the tree and to a
    Map agrees at every step, and the tree stays structurally valid. Keys are
    variable-length with a shared prefix, so byte order and numeric order
    disagree ([acct-999] > [acct-1000]) and some keys prefix others
-   ([acct-1] < [acct-10]); at least 2000 ops keep the tree three levels
-   deep, so internal-node search and splits are exercised. *)
+   ([acct-1] < [acct-10]). Half the cases start empty and run at least 2000
+   ops, which keeps the tree three levels deep, so internal-node search and
+   splits are exercised. The other half start from [of_bindings] over 0 to
+   3000 bindings (trees one to three levels high) in one of
+   [bulk_bindings]'s shapes, checked right after the build and again after
+   a shorter op sequence. *)
 let prop_btree_model =
-  QCheck2.Test.make ~name:"btree agrees with Map under random ops" ~count:60
+  let op = QCheck2.Gen.(
+      triple (frequency [ (4, pure 0); (1, pure 1); (1, pure 2); (1, pure 3) ])
+        (int_range 0 2499) (int_range (-1) 2499))
+  in
+  QCheck2.Test.make ~name:"btree agrees with Map under random ops" ~count:100
+    ~print:(fun (start, ops) ->
+      Printf.sprintf "%s, %d ops"
+        (match start with
+        | None -> "empty start"
+        | Some (shape, n, seed) -> Printf.sprintf "of_bindings shape %d n %d seed %d" shape n seed)
+        (List.length ops))
     QCheck2.Gen.(
-      list_size (int_range 2000 2500)
-        (triple (frequency [ (4, pure 0); (1, pure 1); (1, pure 2); (1, pure 3) ])
-           (int_range 0 2499) (int_range (-1) 2499)))
-    (fun ops ->
-      let t = Btree.create () in
-      let model = ref StrMap.empty in
-      let ok = ref true in
-      let key k = Printf.sprintf "acct-%d" k in
+      oneof
+        [
+          pair (pure None) (list_size (int_range 2000 2500) op);
+          pair
+            (map Option.some
+               (triple (int_bound 4)
+                  (frequency [ (1, int_bound 16); (2, int_range 17 300); (3, int_range 301 3000) ])
+                  int))
+            (list_size (int_bound 600) op);
+        ])
+    (fun (start, ops) ->
+      let t, model =
+        match start with
+        | None -> (Btree.create (), StrMap.empty)
+        | Some (shape, n, seed) ->
+          let bindings = bulk_bindings ~shape ~n ~seed in
+          let before = Array.copy bindings in
+          let model =
+            Array.fold_left (fun m (key, v) -> StrMap.add key v m) StrMap.empty bindings
+          in
+          let t = Btree.of_bindings bindings in
+          if bindings <> before then failwith "of_bindings wrote its input";
+          (t, model)
+      in
+      let model = ref model in
+      let agrees () =
+        Btree.invariant_check t;
+        Btree.size t = StrMap.cardinal !model && Btree.to_list t = StrMap.bindings !model
+      in
+      let built_ok = agrees () in
+      let ok = ref true and key = btree_key in
       List.iteri
         (fun step (op, k, k2) ->
           match op with
@@ -388,11 +450,21 @@ let prop_btree_model =
             in
             if List.rev !got <> List.filter within (StrMap.bindings !model) then ok := false)
         ops;
+      built_ok && !ok && agrees () && (start <> None || Btree.height t >= 3))
+
+(* The bulk build's height on sizes that straddle each level boundary:
+   one leaf holds 16 keys, two levels 17 leaves. *)
+let test_btree_of_bindings_heights () =
+  List.iter
+    (fun (n, height) ->
+      let t = Btree.of_bindings (Array.init n (fun i -> (Printf.sprintf "%05d" i, i))) in
       Btree.invariant_check t;
-      !ok
-      && Btree.height t >= 3
-      && Btree.size t = StrMap.cardinal !model
-      && Btree.to_list t = StrMap.bindings !model)
+      Alcotest.(check int) (Printf.sprintf "height of %d keys" n) height (Btree.height t);
+      Alcotest.(check int) (Printf.sprintf "size of %d keys" n) n (Btree.size t))
+    [ (0, 1); (1, 1); (16, 1); (17, 2); (272, 2); (273, 3); (4624, 3); (4625, 4) ];
+  let t = Btree.of_bindings [| ("b", 1); ("a", 2); ("b", 3); ("a", 4); ("c", 5) |] in
+  Alcotest.(check (list (pair string int)))
+    "last duplicate wins" [ ("a", 4); ("b", 3); ("c", 5) ] (Btree.to_list t)
 
 (* --- property tests --- *)
 
@@ -756,6 +828,7 @@ let () =
           Alcotest.test_case "delete everything" `Quick test_btree_delete_everything;
           Alcotest.test_case "iter order" `Quick test_btree_iter_order;
           Alcotest.test_case "range" `Quick test_btree_range;
+          Alcotest.test_case "of_bindings heights" `Quick test_btree_of_bindings_heights;
           QCheck_alcotest.to_alcotest prop_btree_model;
         ] );
       ( "properties",
