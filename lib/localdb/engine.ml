@@ -91,13 +91,18 @@ type txn_state = Running | Prepared | Committed | Aborted of abort_reason
 (* Deferred effect of an optimistic transaction. *)
 type buf_entry = Put of int | Del | Add of int
 
+(* A record location: a rid packed into an int by [Heap.pack], so the index
+   and [locs] hold no block per record. A [Heap.rid] is built only at a
+   [Heap] or [Log] call. *)
+type loc = int
+
+(* Sentinel locations for [t.locs]; packed rids are non-negative. *)
+let loc_unknown : loc = -1
+let loc_absent : loc = -2
+
 (* Index maintenance performed by a locking transaction, replayed in reverse
    when the transaction rolls back. *)
-type index_op = Indexed of string * Heap.rid | Unindexed of string * Heap.rid
-
-(* Shared sentinel locations for [t.locs]; compared physically. *)
-let loc_unknown : Heap.rid = { page = -1; slot = -1 }
-let loc_absent : Heap.rid = { page = -2; slot = -2 }
+type index_op = Indexed of string * loc | Unindexed of string * loc
 
 type txn = {
   id : int;
@@ -134,10 +139,12 @@ type t = {
   mutable pool : Bp.t;
   mutable heap : Heap.t;
   mutable locks : Mode.t Lock.t;
-  mutable index : Heap.rid Btree.t;
-  (* Key locations by symbol: [locs.(sym)] is the rid [index] maps the key
-     [sym] names to, [loc_absent] when the index has no such key, or
-     [loc_unknown] when not yet looked up. Record-level locking sites hold
+  mutable index : loc Btree.t;
+  (* Key locations by symbol: [locs.(sym)] is the location [index] maps the
+     key [sym] names to, [loc_absent] when the index has no such key, or
+     [loc_unknown] when not yet looked up. Locations are packed ints (see
+     [loc]), so neither the index nor this array holds a block per
+     record. Record-level locking sites hold
      the key's symbol from [lock], so their reads and writes index this
      array instead of descending the B+-tree. The invariant, checked by
      [check_key_locations]: an entry that is not [loc_unknown] equals the
@@ -147,7 +154,7 @@ type t = {
      in-doubt transaction) and the end of a bulk [load] set every entry
      back to [loc_unknown]. Page-level and optimistic sites never read the
      array, skip its upkeep and leave every entry at [loc_unknown]. *)
-  mutable locs : Heap.rid array;
+  mutable locs : loc array;
   mutable up : bool;
   mutable next_txn : int;
   live : (int, txn) Hashtbl.t; (* running and prepared *)
@@ -305,14 +312,14 @@ let note txn a = txn.acc <- a :: txn.acc
 (* [no_sym] stands for "the key's symbol is not at hand". *)
 let no_sym = -1
 
-let set_loc t sym rid =
+let set_loc t sym loc =
   let size = Array.length t.locs in
   if sym >= size then begin
     let bigger = Array.make (max (2 * size) (sym + 1)) loc_unknown in
     Array.blit t.locs 0 bigger 0 size;
     t.locs <- bigger
   end;
-  t.locs.(sym) <- rid
+  t.locs.(sym) <- loc
 
 (* Only record-level locking sites read [locs] (see [key_loc]'s callers). *)
 let tracks_locs t =
@@ -322,15 +329,15 @@ let tracks_locs t =
 
 (* Record [key]'s new location, if the site tracks locations and the key is
    interned. *)
-let note_loc t ~sym key rid =
+let note_loc t ~sym key loc =
   if tracks_locs t then
-    if sym <> no_sym then set_loc t sym rid
-    else match Symbol.find t.syms key with Some sym -> set_loc t sym rid | None -> ()
+    if sym <> no_sym then set_loc t sym loc
+    else match Symbol.find t.syms key with Some sym -> set_loc t sym loc | None -> ()
 
 let forget_locs t = Array.fill t.locs 0 (Array.length t.locs) loc_unknown
 
 let index_loc t key =
-  match Btree.find t.index key with Some rid -> rid | None -> loc_absent
+  match Btree.find t.index key with Some loc -> loc | None -> loc_absent
 
 (* Where [key] lives ([loc_absent] if nowhere): an array index when the
    caller holds the key's symbol and the entry is known, the B+-tree
@@ -338,35 +345,35 @@ let index_loc t key =
 let key_loc t ~sym key =
   if sym = no_sym then index_loc t key
   else
-    let rid = if sym < Array.length t.locs then t.locs.(sym) else loc_unknown in
-    if rid != loc_unknown then rid
+    let loc = if sym < Array.length t.locs then t.locs.(sym) else loc_unknown in
+    if loc <> loc_unknown then loc
     else begin
-      let rid = index_loc t key in
-      set_loc t sym rid;
-      rid
+      let loc = index_loc t key in
+      set_loc t sym loc;
+      loc
     end
 
 let check_key_locations t =
   let rec scan sym =
     if sym >= min (Symbol.count t.syms) (Array.length t.locs) then None
     else
-      let rid = t.locs.(sym) in
+      let loc = t.locs.(sym) in
       let key = Symbol.name t.syms sym in
       let ok =
-        rid == loc_unknown
+        loc = loc_unknown
         ||
         match Btree.find t.index key with
-        | Some r -> rid != loc_absent && Heap.rid_equal r rid
-        | None -> rid == loc_absent
+        | Some l -> loc = l
+        | None -> loc = loc_absent
       in
       if ok then scan (sym + 1)
       else
-        let show r =
-          if r == loc_absent then "absent" else Format.asprintf "%a" Heap.pp_rid r
+        let show l =
+          if l = loc_absent then "absent" else Format.asprintf "%a" Heap.pp_rid (Heap.unpack l)
         in
         Some
           ( key,
-            Printf.sprintf "location %s, index %s" (show rid)
+            Printf.sprintf "location %s, index %s" (show loc)
               (match Btree.find t.index key with Some r -> show r | None -> "absent") )
   in
   scan 0
@@ -376,24 +383,22 @@ let check_key_locations t =
 (* In-simulation, the sequence "mutate page; append matching log record" is
    atomic (no yield point in between), so reserving the next LSN before the
    heap placement preserves the WAL invariant observably. [place] is
-   [Heap.insert] or a [Heap.bulk_insert] placer. *)
+   [Heap.insert] or a [Heap.bulk_insert] placer. Returns the packed rid. *)
 let log_insert t txn place ~key ~value =
   let lsn = Log.last_lsn t.log + 1 in
   let rid = place ~lsn:(Int64.of_int lsn) ~key ~value in
-  let lsn' =
-    Log.append t.log (Op { txn = txn.id; op = Insert { rid; key; value }; prev = txn.last_lsn })
-  in
+  let lsn' = Log.append_insert t.log ~txn:txn.id ~prev:txn.last_lsn ~rid ~key ~value in
   assert (lsn' = lsn);
   txn.last_lsn <- lsn;
-  rid
+  Heap.pack rid
 
 (* [insert_row] leaves the key's location entry alone; [do_insert] updates
    it. *)
 let insert_row t txn ~key ~value =
-  let rid = log_insert t txn (Heap.insert t.heap) ~key ~value in
-  Btree.insert t.index key rid;
-  txn.index_ops <- Indexed (key, rid) :: txn.index_ops;
-  rid
+  let loc = log_insert t txn (Heap.insert t.heap) ~key ~value in
+  Btree.insert t.index key loc;
+  txn.index_ops <- Indexed (key, loc) :: txn.index_ops;
+  loc
 
 let do_insert t txn ~sym ~key ~value = note_loc t ~sym key (insert_row t txn ~key ~value)
 
@@ -402,18 +407,18 @@ let log_and_apply t txn op =
   Recovery.apply_op t.pool ~lsn op;
   txn.last_lsn <- lsn
 
-let do_update t txn rid ~key ~before ~after =
-  log_and_apply t txn (Update { rid; key; before; after })
+let do_update t txn loc ~key ~before ~after =
+  log_and_apply t txn (Update { rid = Heap.unpack loc; key; before; after })
 
-let do_delete t txn rid ~sym ~key ~value =
-  log_and_apply t txn (Delete { rid; key; value });
+let do_delete t txn loc ~sym ~key ~value =
+  log_and_apply t txn (Delete { rid = Heap.unpack loc; key; value });
   ignore (Btree.remove t.index key);
   note_loc t ~sym key loc_absent;
-  txn.index_ops <- Unindexed (key, rid) :: txn.index_ops
+  txn.index_ops <- Unindexed (key, loc) :: txn.index_ops
 
-let do_incr t txn rid ~key ~delta = log_and_apply t txn (Incr { rid; key; delta })
+let do_incr t txn loc ~key ~delta = log_and_apply t txn (Incr { rid = Heap.unpack loc; key; delta })
 
-let value_at t rid = if rid == loc_absent then None else Option.map snd (Heap.read t.heap rid)
+let value_at t loc = if loc = loc_absent then None else Heap.value t.heap (Heap.unpack loc)
 let heap_value t key = value_at t (index_loc t key)
 
 let fix_index_after_undo t txn =
@@ -422,9 +427,9 @@ let fix_index_after_undo t txn =
       | Indexed (key, _) ->
         ignore (Btree.remove t.index key);
         note_loc t ~sym:no_sym key loc_absent
-      | Unindexed (key, rid) ->
-        Btree.insert t.index key rid;
-        note_loc t ~sym:no_sym key rid)
+      | Unindexed (key, loc) ->
+        Btree.insert t.index key loc;
+        note_loc t ~sym:no_sym key loc)
     txn.index_ops;
   txn.index_ops <- []
 
@@ -499,7 +504,7 @@ let lock_target t key mode =
   | Page_level ->
     let obj =
       match Btree.find t.index key with
-      | Some (rid : Icdb_storage.Heap.rid) -> page_sym t rid.page
+      | Some loc -> page_sym t (Heap.unpack loc).page
       | None -> t.page_alloc_sym
     in
     let mode =
@@ -587,10 +592,10 @@ let write t txn ~key ~value =
       let before =
         match t.config.capabilities.cc with
         | Locking _ ->
-          let rid = key_loc t ~sym key in
-          let before = value_at t rid in
-          if rid == loc_absent then do_insert t txn ~sym ~key ~value
-          else do_update t txn rid ~key ~before:(Option.get before) ~after:value;
+          let loc = key_loc t ~sym key in
+          let before = value_at t loc in
+          if loc = loc_absent then do_insert t txn ~sym ~key ~value
+          else do_update t txn loc ~key ~before:(Option.get before) ~after:value;
           before
         | Optimistic ->
           (* A blind write must stay blind: looking up the before-image for
@@ -615,9 +620,9 @@ let delete t txn key =
       (match t.config.capabilities.cc with
       | Locking _ -> (
         match Btree.find t.index key with
-        | Some rid ->
-          let value = Option.get (heap_value t key) in
-          do_delete t txn rid ~sym ~key ~value;
+        | Some loc ->
+          let value = Option.get (value_at t loc) in
+          do_delete t txn loc ~sym ~key ~value;
           note txn (Wrote { key; before = Some value; after = None })
         | None -> note txn (Wrote { key; before = None; after = None }))
       | Optimistic ->
@@ -643,9 +648,9 @@ let increment t txn ~key ~delta =
       consume t txn (op_cost t key);
       (match t.config.capabilities.cc with
       | Locking _ ->
-        let rid = key_loc t ~sym key in
-        if rid == loc_absent then invalid_arg "Engine.increment: unknown key"
-        else do_incr t txn rid ~key ~delta
+        let loc = key_loc t ~sym key in
+        if loc = loc_absent then invalid_arg "Engine.increment: unknown key"
+        else do_incr t txn loc ~key ~delta
       | Optimistic ->
         let sym = Symbol.intern t.syms key in
         let entry =
@@ -682,19 +687,19 @@ let occ_apply t txn =
       match Hashtbl.find txn.buf sym with
       | Put value -> (
         match Btree.find t.index key with
-        | Some rid ->
-          let before = Option.get (heap_value t key) in
-          do_update t txn rid ~key ~before ~after:value
+        | Some loc ->
+          let before = Option.get (value_at t loc) in
+          do_update t txn loc ~key ~before ~after:value
         | None -> do_insert t txn ~sym ~key ~value)
       | Del -> (
         match Btree.find t.index key with
-        | Some rid ->
-          let value = Option.get (heap_value t key) in
-          do_delete t txn rid ~sym ~key ~value
+        | Some loc ->
+          let value = Option.get (value_at t loc) in
+          do_delete t txn loc ~sym ~key ~value
         | None -> ())
       | Add delta -> (
         match Btree.find t.index key with
-        | Some rid -> do_incr t txn rid ~key ~delta
+        | Some loc -> do_incr t txn loc ~key ~delta
         | None -> do_insert t txn ~sym ~key ~value:delta))
     (List.rev txn.buf_keys);
   t.commit_serial <- t.commit_serial + 1;
@@ -796,7 +801,7 @@ let prepare t txn =
    the heap, in its iteration order (a later live record of a key wins). *)
 let rebuild_index t =
   let rows = ref [] in
-  Heap.iter t.heap (fun rid key _ -> rows := (key, rid) :: !rows);
+  Heap.iter t.heap (fun rid key _ -> rows := (key, Heap.pack rid) :: !rows);
   t.index <- Btree.of_bindings (Array.of_list (List.rev !rows));
   forget_locs t
 
@@ -941,9 +946,9 @@ let committed_keys t =
   Btree.keys t.index
 
 let committed_total t =
-  Btree.fold t.index ~init:0 ~f:(fun acc key rid ->
+  Btree.fold t.index ~init:0 ~f:(fun acc key loc ->
       if internal_key key then acc
-      else match Heap.read t.heap rid with Some (_, v) -> acc + v | None -> acc)
+      else match value_at t loc with Some v -> acc + v | None -> acc)
 
 (* The bulk path: the same log records, LSNs, page images and rids as one
    [insert_row] per row, but the heap places rows without rescanning older

@@ -3,6 +3,13 @@ type rid = { page : Disk.page_id; slot : int }
 let pp_rid fmt rid = Format.fprintf fmt "(%d,%d)" rid.page rid.slot
 let rid_equal a b = a.page = b.page && a.slot = b.slot
 
+let pack rid =
+  if rid.slot < 0 || rid.slot > 0xffff || rid.page < 0 || rid.page > max_int lsr 16 then
+    invalid_arg "Heap.pack: rid out of range";
+  (rid.page lsl 16) lor rid.slot
+
+let unpack loc = { page = loc lsr 16; slot = loc land 0xffff }
+
 type t = {
   disk : Disk.t;
   pool : Buffer_pool.t;
@@ -129,6 +136,9 @@ let insert_at t ~lsn rid ~key ~value =
 let read t rid =
   Buffer_pool.with_page t.pool rid.page ~write:false (fun page ->
       Option.map Record.decode (Page.read page ~slot:rid.slot))
+
+let value t rid =
+  Buffer_pool.with_page t.pool rid.page ~write:false (fun page -> Page.value page ~slot:rid.slot)
 
 let update t ~lsn rid ~value =
   Buffer_pool.with_page t.pool rid.page ~write:true (fun page ->

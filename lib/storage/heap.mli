@@ -21,6 +21,15 @@ type rid = { page : Disk.page_id; slot : int }
 val pp_rid : Format.formatter -> rid -> unit
 val rid_equal : rid -> rid -> bool
 
+(** [pack rid] is [rid] as one immediate int, [page lsl 16 lor slot], for
+    indexes that would otherwise keep a block per record. Raises
+    [Invalid_argument] on a slot outside [\[0, 65535\]] or a negative page
+    (a page has at most {!Page.size}/4 slots). [unpack (pack rid)] equals
+    [rid]; every packed rid is non-negative. *)
+val pack : rid -> int
+
+val unpack : int -> rid
+
 val create : Disk.t -> Buffer_pool.t -> t
 
 (** [recover disk pool] rebuilds heap metadata by scanning every allocated
@@ -53,6 +62,10 @@ val insert_at : t -> lsn:int64 -> rid -> key:string -> value:int -> bool
 
 (** [read t rid] is [Some (key, value)] for a live record. *)
 val read : t -> rid -> (string * int) option
+
+(** [value t rid] is [Option.map snd (read t rid)], read in place
+    ({!Page.value}). *)
+val value : t -> rid -> int option
 
 (** [update t ~lsn rid ~value] overwrites the record's value in place.
     [false] if the rid is dead. *)

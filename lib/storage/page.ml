@@ -45,6 +45,10 @@ let is_live t slot = slot >= 0 && slot < slot_count t && slot_off t slot <> 0
 let read t ~slot =
   if not (is_live t slot) then None else Some (Bytes.sub t.b (slot_off t slot) (slot_len t slot))
 
+let value t ~slot =
+  if not (is_live t slot) then None
+  else Some (Int64.to_int (Bytes.get_int64_be t.b (slot_off t slot + slot_len t slot - 8)))
+
 (* Rewrites all live payloads against the end of the page, eliminating the
    holes left by deletes and relocating updates. Slot numbers are stable. *)
 let compact t =

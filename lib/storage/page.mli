@@ -57,6 +57,12 @@ val insert_at : t -> slot:int -> payload:bytes -> bool
 (** [read t ~slot] is the payload, or [None] for dead/out-of-range slots. *)
 val read : t -> slot:int -> bytes option
 
+(** [value t ~slot] is the value of the live record in [slot], read in
+    place from the payload's last 8 bytes: [snd (Record.decode payload)]
+    without copying the payload or decoding its key. [None] for dead or
+    out-of-range slots. *)
+val value : t -> slot:int -> int option
+
 (** [update t ~slot ~payload] overwrites a live record. Same-size payloads
     are updated in place; size changes relocate within the page. [false] if
     the slot is dead or space is insufficient. *)

@@ -72,37 +72,40 @@ let undo_chain log pool ~txn ~from =
 
 type status = Active of Log.lsn | Prepared of Log.lsn
 
+(* Analysis and redo share one pass over the log: redo replays history
+   whatever each transaction's fate, and analysis touches no page, so the
+   pages see the same accesses in the same order as with two passes. The
+   page-LSN condition inside [apply_op] skips effects that reached the disk
+   before the crash. *)
 let restart log pool =
-  (* Analysis. *)
   let table : (Log.txn_id, status) Hashtbl.t = Hashtbl.create 64 in
   let committed = ref [] in
+  let redo_count = ref 0 in
+  let redo lsn op =
+    let rid = rid_of op in
+    let needed =
+      Bp.with_page pool rid.page ~write:false (fun page -> Int64.to_int (Page.lsn page) < lsn)
+    in
+    if needed then begin
+      apply_op pool ~lsn op;
+      incr redo_count
+    end
+  in
   Log.iter log (fun lsn record ->
       match record with
       | Begin txn -> Hashtbl.replace table txn (Active Log.null_lsn)
-      | Op { txn; _ } -> Hashtbl.replace table txn (Active lsn)
-      | Clr { txn; next_undo; _ } -> Hashtbl.replace table txn (Active next_undo)
+      | Op { txn; op; _ } ->
+        Hashtbl.replace table txn (Active lsn);
+        redo lsn op
+      | Clr { txn; next_undo; op } ->
+        Hashtbl.replace table txn (Active next_undo);
+        redo lsn op
       | Prepare { txn; last } -> Hashtbl.replace table txn (Prepared last)
       | Commit txn ->
         Hashtbl.remove table txn;
         committed := txn :: !committed
       | Abort txn -> Hashtbl.remove table txn
       | Checkpoint _ -> ());
-  (* Redo: replay history. The page-LSN condition inside [apply_op] skips
-     effects that reached the disk before the crash. *)
-  let redo_count = ref 0 in
-  Log.iter log (fun lsn record ->
-      match record with
-      | Op { op; _ } | Clr { op; _ } ->
-        let rid = rid_of op in
-        let needed =
-          Bp.with_page pool rid.page ~write:false (fun page ->
-              Int64.to_int (Page.lsn page) < lsn)
-        in
-        if needed then begin
-          apply_op pool ~lsn op;
-          incr redo_count
-        end
-      | Begin _ | Commit _ | Abort _ | Prepare _ | Checkpoint _ -> ());
   (* Undo the losers; keep the in-doubt transactions suspended. *)
   let losers, in_doubt =
     Hashtbl.fold

@@ -588,6 +588,41 @@ let test_load_duplicates_and_runs () =
   ignore (Db.restart db);
   check_state "restarted"
 
+(* The preload's log records span many log chunks and its rows sit behind
+   packed locations. A committed transaction and a loser follow; a crash
+   and restart decode every record again, redo the winner and undo the
+   loser. Values, the total and the key locations must come back exactly,
+   negative and large values included. *)
+let test_load_restart_values () =
+  let eng = Sim.create () in
+  let db = Db.create eng (locking_config "s") in
+  let n = 3000 in
+  let key i = Printf.sprintf "acct-%05d" i in
+  let value i = if i mod 3 = 0 then -i * 1_000_003 else if i = 1 then max_int / 4 else i in
+  Db.load db (List.init n (fun i -> (key i, value i)));
+  let total = List.fold_left ( + ) 0 (List.init n value) in
+  Alcotest.(check int) "loaded total" total (Db.committed_total db);
+  Fiber.spawn eng (fun () ->
+      let t = Db.begin_txn db in
+      ok (Db.increment db t ~key:(key 7) ~delta:(-5));
+      ok (Db.write db t ~key:(key 9) ~value:(-1));
+      ok (Db.commit db t);
+      let loser = Db.begin_txn db in
+      ok (Db.write db loser ~key:(key 11) ~value:42);
+      ok (Db.delete db loser (key 12));
+      ok (Db.write db loser ~key:"fresh" ~value:(-8)));
+  Sim.run eng;
+  Db.crash db;
+  ignore (Db.restart db);
+  let expected i = if i = 7 then value 7 - 5 else if i = 9 then -1 else value i in
+  List.iter
+    (fun i -> Alcotest.(check (option int)) (key i) (Some (expected i)) (Db.committed_value db (key i)))
+    (List.init n Fun.id);
+  Alcotest.(check (option int)) "loser's insert undone" None (Db.committed_value db "fresh");
+  Alcotest.(check int) "restarted total" (total - 5 - 1 - value 9) (Db.committed_total db);
+  Alcotest.(check (option (pair string string))) "key locations" None
+    (Db.check_key_locations db)
+
 (* --- checkpointing --- *)
 
 let test_checkpoint_truncates_and_recovers () =
@@ -1189,6 +1224,7 @@ let () =
           Alcotest.test_case "load and keys" `Quick test_load_and_keys;
           Alcotest.test_case "load placement" `Quick test_load_placement;
           Alcotest.test_case "load duplicates and runs" `Quick test_load_duplicates_and_runs;
+          Alcotest.test_case "load survives restart" `Quick test_load_restart_values;
           QCheck_alcotest.to_alcotest prop_abort_atomicity;
           QCheck_alcotest.to_alcotest prop_occ_oracle;
           QCheck_alcotest.to_alcotest prop_key_locations;

@@ -487,6 +487,45 @@ let test_pool_free_space_side_effect_free () =
   Alcotest.(check (list int)) "frame still cached and dirty" [ a ] (Bp.dirty_pages pool);
   Alcotest.(check int) "no pin" 0 (Bp.pin_count pool)
 
+(* [Page.value] reads the trailing 8 bytes in place; it must agree with a
+   full decode of the payload for every slot, live or dead, through
+   relocating updates and with negative values. *)
+type value_op = Put of int * int  (* key length, value *) | Set of int * int * int | Kill of int
+
+let value_op_gen =
+  let value = QCheck2.Gen.(oneof [ int; int_range (-5) 5; oneofl [ min_int; max_int ] ]) in
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map2 (fun k v -> Put (k, v)) (int_range 1 60) value);
+        (2, map3 (fun s k v -> Set (s, k, v)) (int_range 0 40) (int_range 1 60) value);
+        (2, map (fun s -> Kill s) (int_range 0 40));
+      ])
+
+let pp_value_op = function
+  | Put (k, v) -> Printf.sprintf "put %d-byte key=%d" k v
+  | Set (s, k, v) -> Printf.sprintf "set %d %d-byte key=%d" s k v
+  | Kill s -> Printf.sprintf "delete %d" s
+
+let prop_page_value =
+  QCheck2.Test.make ~name:"Page.value = value of the decoded payload" ~count:300
+    ~print:QCheck2.Print.(list pp_value_op)
+    QCheck2.Gen.(list_size (int_range 1 120) value_op_gen)
+    (fun ops ->
+      let p = Page.create () in
+      let payload k v = Record.encode ~key:(String.make k 'k') ~value:v in
+      List.iter
+        (function
+          | Put (k, v) -> ignore (Page.insert p ~payload:(payload k v))
+          | Set (s, k, v) -> ignore (Page.update p ~slot:s ~payload:(payload k v))
+          | Kill s -> ignore (Page.delete p ~slot:s))
+        ops;
+      List.for_all
+        (fun slot ->
+          Page.value p ~slot
+          = Option.map (fun payload -> snd (Record.decode payload)) (Page.read p ~slot))
+        (List.init (Page.slot_count p + 3) (fun i -> i - 1)))
+
 (* --- Heap --- *)
 
 let test_heap_insert_read_update_delete () =
@@ -500,6 +539,35 @@ let test_heap_insert_read_update_delete () =
   Alcotest.(check bool) "delete" true (Heap.delete h ~lsn:3L rid);
   Alcotest.(check (option (pair string int))) "gone" None (Heap.read h rid);
   Alcotest.(check bool) "double delete" false (Heap.delete h ~lsn:4L rid)
+
+let test_heap_value () =
+  let d = Disk.create () in
+  let pool = Bp.create ~capacity:8 d in
+  let h = Heap.create d pool in
+  let rid = Heap.insert h ~lsn:1L ~key:"a" ~value:(-10) in
+  Alcotest.(check (option int)) "live" (Some (-10)) (Heap.value h rid);
+  ignore (Heap.delete h ~lsn:2L rid);
+  Alcotest.(check (option int)) "dead" None (Heap.value h rid)
+
+let prop_rid_pack_roundtrip =
+  QCheck2.Test.make ~name:"Heap.unpack (Heap.pack rid) = rid" ~count:1000
+    QCheck2.Gen.(
+      pair
+        (oneof [ int_range 0 100_000; int_range 0 (max_int lsr 16); pure (max_int lsr 16) ])
+        (oneof [ int_range 0 1024; int_range 0 0xffff; pure 0xffff ]))
+    (fun (page, slot) ->
+      let rid : Heap.rid = { page; slot } in
+      let loc = Heap.pack rid in
+      loc >= 0 && Heap.rid_equal (Heap.unpack loc) rid)
+
+let test_rid_pack_refuses () =
+  List.iter
+    (fun (page, slot) ->
+      Alcotest.check_raises
+        (Printf.sprintf "(%d,%d)" page slot)
+        (Invalid_argument "Heap.pack: rid out of range")
+        (fun () -> ignore (Heap.pack { page; slot })))
+    [ (0, 65536); (0, -1); (-1, 0); (3, max_int); (max_int, 0) ]
 
 let test_heap_colocation_and_growth () =
   let d = Disk.create () in
@@ -889,6 +957,7 @@ let () =
           Alcotest.test_case "live listing" `Quick test_page_live;
           QCheck_alcotest.to_alcotest prop_page_model;
           QCheck_alcotest.to_alcotest prop_page_insert_iff_free_space;
+          QCheck_alcotest.to_alcotest prop_page_value;
         ] );
       ( "record",
         [
@@ -931,6 +1000,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_model;
           QCheck_alcotest.to_alcotest prop_heap_first_fit;
           QCheck_alcotest.to_alcotest prop_heap_bulk_insert;
+          Alcotest.test_case "value in place" `Quick test_heap_value;
+          QCheck_alcotest.to_alcotest prop_rid_pack_roundtrip;
+          Alcotest.test_case "pack refuses out-of-range rids" `Quick test_rid_pack_refuses;
         ] );
       ( "stress",
         [ Alcotest.test_case "pool thrashing durability" `Quick test_pool_thrashing_durability ]
