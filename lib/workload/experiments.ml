@@ -599,13 +599,13 @@ let v7 () =
   heading "V7 - Why the additional CC module exists (§3.2/§3.3 requirements)"
   ^ Table.render table
 
-(* --- A1: presumed-abort ablation -------------------------------------------- *)
+(* --- PA1: presumed-abort ablation ------------------------------------------- *)
 
 let a1 () =
   let table =
     Table.create
       ~title:
-        "A1 - Standard vs presumed-abort 2PC (read-heavy workload, 80% reads, 200 txns)"
+        "PA1 - Standard vs presumed-abort 2PC (read-heavy workload, 80% reads, 200 txns)"
       [
         "protocol"; "p(abort)"; "committed"; "msgs/commit"; "decision-log entries"; "tput";
       ]
@@ -638,7 +638,7 @@ let a1 () =
         [ Protocol.Two_phase; Protocol.Presumed_abort ])
     [ 0.0; 0.2; 0.4 ];
   heading
-    "A1 - Extension: presumed-abort 2PC [ML 83] - fewer messages on abort, no abort log \
+    "PA1 - Extension: presumed-abort 2PC [ML 83] - fewer messages on abort, no abort log \
      records, read-only branches skip phase 2"
   ^ Table.render table
 
