@@ -21,7 +21,7 @@ let () =
   (* 2. Three existing local systems. None of them supports a prepared
      state — the situation the paper is about. *)
   let fed =
-    Federation.create engine
+    Federation.create engine ~trace:(Trace.create engine)
       [
         Db.default_config ~site_name:"berlin";
         Db.default_config ~site_name:"paris";

@@ -50,7 +50,8 @@ let execute_action (fed : Federation.t) ~gid ~seq (action : Action.t) =
           match Db.commit db txn with
           | Ok () ->
             graph_local fed ~gid ~site:action.site ~compensation:false txn;
-            Trace.record_gid fed.trace ~actor:action.site ~gid ("done:" ^ action.name);
+            if Trace.enabled fed.trace then
+              Trace.record_gid fed.trace ~actor:action.site ~gid ("done:" ^ action.name);
             ("action-done", Ok ())
           | Error r ->
             ( "action-failed",

@@ -285,7 +285,7 @@ let normalize_window = function
 
 let create engine ?(latency = 1.0) ?(loss = 0.0)
     ?(global_lock_timeout = Some 200.0) ?(conflict = default_conflict)
-    ?registry ?tracer ?(msg_batch_window = None) ?(central_gc_window = None)
+    ?registry ?tracer ?trace ?(msg_batch_window = None) ?(central_gc_window = None)
     ?(shards = 1) ?(decision_force_time = None) configs =
   let msg_batch_window = normalize_window msg_batch_window in
   let central_gc_window = normalize_window central_gc_window in
@@ -364,7 +364,8 @@ let create engine ?(latency = 1.0) ?(loss = 0.0)
       sites;
       by_name;
       syms;
-      trace = Trace.create engine;
+      trace =
+        (match trace with Some tr -> tr | None -> Trace.create ~enabled:false engine);
       registry;
       tracer;
       metrics;

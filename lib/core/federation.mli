@@ -65,6 +65,8 @@ type t = {
           their objects by symbols of this table (each site's local table
           uses the site engine's own) *)
   trace : Icdb_sim.Trace.t;
+      (** protocol step timeline; disabled (empty) unless the caller passed
+          an enabled one *)
   registry : Icdb_obs.Registry.t;
       (** all numeric observations (metrics, message / lock / WAL counts,
           protocol phase latencies) land here *)
@@ -156,6 +158,12 @@ type t = {
     CC, L1, and each site's local table — across restarts), every WAL, and
     the site crash/recovery transitions into them.
 
+    [trace] is the protocol step timeline the protocols record into
+    (the [trace] field); pass [Icdb_sim.Trace.create engine] to read it
+    afterwards, as the figure experiments F2-F7 and their tests do. The
+    default is a disabled trace, which retains nothing: a long run keeps no
+    per-step history, and no report reads one.
+
     [msg_batch_window] (default [None]) turns on per-site decision-message
     piggybacking: one {!Icdb_net.Batcher} per site with that window, plus an
     [icdb_batch_occupancy{site}] histogram. [central_gc_window] (default
@@ -180,6 +188,7 @@ val create :
   ?conflict:Icdb_mlt.Conflict.t ->
   ?registry:Icdb_obs.Registry.t ->
   ?tracer:Icdb_obs.Tracer.t ->
+  ?trace:Icdb_sim.Trace.t ->
   ?msg_batch_window:float option ->
   ?central_gc_window:float option ->
   ?shards:int ->

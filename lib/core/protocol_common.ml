@@ -244,6 +244,7 @@ let finish (fed : Federation.t) ~gid ~start ?obs outcome =
   | Global.Aborted cause ->
     Metrics.txn_aborted fed.metrics;
     Serialization_graph.record_outcome fed.graph ~gid ~committed:false;
-    Trace.record_gid fed.trace ~actor ~gid
-      (Format.asprintf "aborted (%a)" Global.pp_abort_cause cause));
+    if Trace.enabled fed.trace then
+      Trace.record_gid fed.trace ~actor ~gid
+        (Format.asprintf "aborted (%a)" Global.pp_abort_cause cause));
   outcome

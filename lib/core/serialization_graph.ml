@@ -3,26 +3,51 @@ module Symbol = Icdb_util.Symbol
 module Strtbl = Icdb_util.Strtbl
 module Gid_store = Icdb_util.Gid_store
 
-(* Access classification on one key: the strongest kind decides conflicts. *)
-type kind = KRead | KIncr | KWrite
+(* Access classification on one key: the strongest kind decides conflicts.
+   A kind is an int so that it packs into a history column. *)
+let k_read = 0
+let k_incr = 1
+let k_write = 2
 
-type local = {
-  gid : int;
-  compensation : bool;
-  kinds : (Symbol.t * kind) array;
-      (* key -> strongest kind, interned and memoized at record time. The
-         array preserves the enumeration order of the scratch table it is
-         materialized from, which downstream passes replay — edge insertion
-         order feeds cycle reporting, so it must stay stable. *)
-}
+(* A growable [int] column. *)
+type col = { mutable a : int array; mutable n : int }
+
+let col capacity = { a = Array.make capacity 0; n = 0 }
+
+let push c x =
+  if c.n = Array.length c.a then begin
+    let a = Array.make (2 * c.n) 0 in
+    Array.blit c.a 0 a 0 c.n;
+    c.a <- a
+  end;
+  c.a.(c.n) <- x;
+  c.n <- c.n + 1
+
+(* One site's history, in commit order, as three [int] columns and no
+   per-local block:
+   - [heads.(i)] is local [i]'s [gid lsl 1 lor compensation];
+   - [starts.(i)] is where local [i]'s accesses begin in [accs], and
+     [starts.(i + 1)] where they end ([starts] holds one more entry than
+     [heads], the first being 0);
+   - [accs.(j)] is an access's [sym lsl 2 lor kind]: the key's graph symbol
+     and the strongest kind the local used it with. A local's accesses are
+     stored in the enumeration order of the scratch table they were joined
+     in, which later passes replay: edge insertion order feeds cycle
+     reporting, so it must stay stable.
+   A local with [k] keys costs [k + 2] words and allocates no block of
+   its own. *)
+type history = { heads : col; starts : col; accs : col }
 
 type t = {
   syms : Symbol.table; (* graph-wide interner for record keys *)
-  histories : local list ref Strtbl.t; (* site -> reversed commit order *)
-  kinds_scratch : kind Strtbl.t; (* [intern_kinds]'s table, reset after each local *)
+  histories : history Strtbl.t; (* site -> its history *)
+  kinds_scratch : int Strtbl.t; (* [record_local]'s table, reset after each local *)
   outcomes : Gid_store.Bool.t; (* gid -> committed *)
   mutable locals : int;
 }
+
+let gid_of head = head asr 1
+let is_compensation head = head land 1 = 1
 
 type violation =
   | Cycle of int list
@@ -53,12 +78,7 @@ let internal_key key = String.length key >= 2 && key.[0] = '_' && key.[1] = '_'
 (* Conflict-equivalent join of two kinds on the same key: a read and an
    increment by the same local conflict with everything a write does, so the
    mixed case collapses to write strength. *)
-let join k1 k2 =
-  match (k1, k2) with
-  | KWrite, _ | _, KWrite -> KWrite
-  | KRead, KIncr | KIncr, KRead -> KWrite
-  | KRead, KRead -> KRead
-  | KIncr, KIncr -> KIncr
+let join k1 k2 = if k1 = k2 then k1 else k_write
 
 let add_kinds tbl accesses =
   let strengthen key kind =
@@ -72,9 +92,9 @@ let add_kinds tbl accesses =
   in
   List.iter
     (function
-      | Db.Read { key; _ } -> strengthen key KRead
-      | Db.Wrote { key; _ } -> strengthen key KWrite
-      | Db.Incremented { key; _ } -> strengthen key KIncr)
+      | Db.Read { key; _ } -> strengthen key k_read
+      | Db.Wrote { key; _ } -> strengthen key k_write
+      | Db.Incremented { key; _ } -> strengthen key k_incr)
     accesses
 
 let kinds_of accesses =
@@ -82,14 +102,9 @@ let kinds_of accesses =
   add_kinds tbl accesses;
   tbl
 
-let kinds_conflict k1 k2 =
-  match (k1, k2) with
-  | KRead, KRead -> false
-  | KIncr, KIncr -> false
-  | KRead, (KIncr | KWrite)
-  | KIncr, (KRead | KWrite)
-  | KWrite, (KRead | KIncr | KWrite) ->
-    true
+(* Reads commute with reads and increments with increments; every other
+   pair on one key conflicts. *)
+let kinds_conflict k1 k2 = k1 <> k2 || k1 = k_write
 
 let conflict_kinds a b =
   let small, big = if Strtbl.length a <= Strtbl.length b then (a, b) else (b, a) in
@@ -104,33 +119,26 @@ let conflict_kinds a b =
 
 let conflict a b = conflict_kinds (kinds_of a) (kinds_of b)
 
-(* Materialize the per-local kinds as an interned array, in exactly the
-   scratch table's enumeration order: every later pass walks this array
-   instead of re-iterating a string table. The reset scratch table has a
-   fresh one's buckets, so the order is the one a fresh table gives. *)
-let intern_kinds t accesses =
-  let tbl = t.kinds_scratch in
-  add_kinds tbl accesses;
-  let items = Array.make (Strtbl.length tbl) (0, KRead) in
-  let i = ref 0 in
-  Strtbl.iter
-    (fun key kind ->
-      items.(!i) <- (Symbol.intern t.syms key, kind);
-      incr i)
-    tbl;
-  Strtbl.reset tbl;
-  items
-
+(* Appends the local's interned accesses in exactly the scratch table's
+   enumeration order: every later pass walks the column instead of
+   re-iterating a string table. The reset scratch table has a fresh one's
+   buckets, so the order is the one a fresh table gives. *)
 let record_local t ~gid ~site ~compensation accesses =
-  let hist =
+  let h =
     match Strtbl.find_opt t.histories site with
     | Some h -> h
     | None ->
-      let h = ref [] in
+      let h = { heads = col 16; starts = col 16; accs = col 64 } in
+      push h.starts 0;
       Strtbl.replace t.histories site h;
       h
   in
-  hist := { gid; compensation; kinds = intern_kinds t accesses } :: !hist;
+  let tbl = t.kinds_scratch in
+  add_kinds tbl accesses;
+  Strtbl.iter (fun key kind -> push h.accs ((Symbol.intern t.syms key lsl 2) lor kind)) tbl;
+  Strtbl.reset tbl;
+  push h.heads ((gid lsl 1) lor Bool.to_int compensation);
+  push h.starts h.accs.n;
   t.locals <- t.locals + 1
 
 let record_outcome t ~gid ~committed = Gid_store.Bool.replace t.outcomes gid committed
@@ -140,13 +148,11 @@ let committed_of t gid =
 
 (* Empties the per-symbol [cells] of every key a site's locals touched, so
    the next site starts from "no entry". *)
-let forget_keys cells hist =
-  List.iter
-    (fun l ->
-      for i = 0 to Array.length l.kinds - 1 do
-        cells.(fst l.kinds.(i)) <- []
-      done)
-    hist
+let forget_keys cells h =
+  let accs = h.accs.a in
+  for j = 0 to h.accs.n - 1 do
+    cells.(accs.(j) lsr 2) <- []
+  done
 
 (* Successor lists among committed globals, built from per-site commit order,
    and the number of edges in them.
@@ -177,32 +183,34 @@ let edges t =
   (* The current run of each key, by graph symbol: its kind, its members
      (empty: no run yet at this site) and the previous run's members. *)
   let n = Symbol.count t.syms in
-  let run_kind = Array.make n KRead in
+  let run_kind = Array.make n k_read in
   let members = Array.make n [] in
   let prev = Array.make n [] in
   Strtbl.iter
-    (fun _site hist ->
-      List.iter
-        (fun l ->
-          if committed_of t l.gid && not l.compensation then
-            for i = 0 to Array.length l.kinds - 1 do
-              let key, kind = l.kinds.(i) in
-              match members.(key) with
-              | [] ->
-                run_kind.(key) <- kind;
-                members.(key) <- [ l.gid ];
-                prev.(key) <- []
-              | run ->
-                if run_kind.(key) = kind && kind <> KWrite then members.(key) <- l.gid :: run
-                else begin
-                  prev.(key) <- run;
-                  members.(key) <- [ l.gid ];
-                  run_kind.(key) <- kind
-                end;
-                emit l.gid prev.(key)
-            done)
-        (List.rev !hist);
-      forget_keys members !hist)
+    (fun _site h ->
+      let heads = h.heads.a and starts = h.starts.a and accs = h.accs.a in
+      for i = 0 to h.heads.n - 1 do
+        let head = heads.(i) in
+        let gid = gid_of head in
+        if (not (is_compensation head)) && committed_of t gid then
+          for j = starts.(i) to starts.(i + 1) - 1 do
+            let key = accs.(j) lsr 2 and kind = accs.(j) land 3 in
+            match members.(key) with
+            | [] ->
+              run_kind.(key) <- kind;
+              members.(key) <- [ gid ];
+              prev.(key) <- []
+            | run ->
+              if run_kind.(key) = kind && kind <> k_write then members.(key) <- gid :: run
+              else begin
+                prev.(key) <- run;
+                members.(key) <- [ gid ];
+                run_kind.(key) <- kind
+              end;
+              emit gid prev.(key)
+          done
+      done;
+      forget_keys members h)
     t.histories;
   (succ, !count)
 
@@ -266,43 +274,50 @@ let dirty_reads t =
   (* key symbol -> open dirty windows; [] is "no entry". *)
   let open_windows = Array.make (Symbol.count t.syms) [] in
   Strtbl.iter
-    (fun site hist ->
+    (fun site h ->
+      let n = h.heads.n in
+      let heads = h.heads.a and starts = h.starts.a and accs = h.accs.a in
       (* Only an aborted global's local opens a dirty window, so a site
          without one has nothing to report. *)
-      if List.exists (fun l -> not (l.compensation || committed_of t l.gid)) !hist then begin
-        let ordered = Array.of_list (List.rev !hist) in
-        let n = Array.length ordered in
+      let rec has_aborted i =
+        i < n
+        && ((not (is_compensation heads.(i) || committed_of t (gid_of heads.(i))))
+           || has_aborted (i + 1))
+      in
+      if has_aborted 0 then begin
         (* window_end.(i): index of gid's first compensation after i, or n. *)
         let window_end = Array.make n n in
         let next_comp = Hashtbl.create 16 in
         for i = n - 1 downto 0 do
-          let l = ordered.(i) in
-          (match Hashtbl.find next_comp l.gid with
+          let gid = gid_of heads.(i) in
+          (match Hashtbl.find next_comp gid with
           | c -> window_end.(i) <- c
           | exception Not_found -> ());
-          if l.compensation then Hashtbl.replace next_comp l.gid i
+          if is_compensation heads.(i) then Hashtbl.replace next_comp gid i
         done;
         let pairs = Hashtbl.create 16 in
         for p = 0 to n - 1 do
-          let l = ordered.(p) in
-          if not l.compensation then begin
-            let committed = committed_of t l.gid in
-            for k = 0 to Array.length l.kinds - 1 do
-              let key, kind = l.kinds.(k) in
+          let head = heads.(p) in
+          if not (is_compensation head) then begin
+            let gid = gid_of head in
+            let committed = committed_of t gid in
+            for j = starts.(p) to starts.(p + 1) - 1 do
+              let key = accs.(j) lsr 2 and kind = accs.(j) land 3 in
               let windows = open_at p open_windows.(key) in
               open_windows.(key) <- windows;
-              if committed then note_pairs pairs ~reader:p l.gid kind windows
-              else if kind <> KRead then
-                open_windows.(key) <- (p, l.gid, kind, window_end.(p)) :: windows
+              if committed then note_pairs pairs ~reader:p gid kind windows
+              else if kind <> k_read then
+                open_windows.(key) <- (p, gid, kind, window_end.(p)) :: windows
             done
           end
         done;
-        forget_keys open_windows !hist;
+        forget_keys open_windows h;
         let site_pairs = List.sort compare (Hashtbl.fold (fun ij () acc -> ij :: acc) pairs []) in
         List.iter
           (fun (i, j) ->
             found :=
-              Dirty_read { reader = ordered.(j).gid; aborted_writer = ordered.(i).gid; site }
+              Dirty_read
+                { reader = gid_of heads.(j); aborted_writer = gid_of heads.(i); site }
               :: !found)
           site_pairs
       end)

@@ -3,9 +3,12 @@ type entry = { time : float; actor : string; label : string }
 (* Append-order columns, grown by doubling: [record] and [record_gid] store
    an unboxed time and three words and allocate nothing between growths. A
    gid-tagged entry keeps its static label; the ["g<gid>:<label>"] string is
-   built only when a query reads the entry. Every query is one linear scan. *)
+   built only when a query reads the entry. Every query is one linear scan.
+   A disabled trace keeps empty columns and never grows them, so its length
+   stays 0 and every query finds nothing. *)
 type t = {
   engine : Engine.t;
+  enabled : bool;
   mutable times : Float.Array.t;
   mutable actors : string array;
   mutable gids : int array; (* [no_gid] for an untagged entry *)
@@ -16,15 +19,19 @@ type t = {
 let no_gid = min_int
 let initial = 64
 
-let create engine =
+let create ?(enabled = true) engine =
+  let n = if enabled then initial else 0 in
   {
     engine;
-    times = Float.Array.make initial 0.0;
-    actors = Array.make initial "";
-    gids = Array.make initial no_gid;
-    labels = Array.make initial "";
+    enabled;
+    times = Float.Array.make n 0.0;
+    actors = Array.make n "";
+    gids = Array.make n no_gid;
+    labels = Array.make n "";
     len = 0;
   }
+
+let enabled t = t.enabled
 
 let grow t =
   let n = 2 * t.len in
@@ -49,11 +56,11 @@ let push t ~actor ~gid label =
   t.labels.(i) <- label;
   t.len <- i + 1
 
-let record t ~actor label = push t ~actor ~gid:no_gid label
+let record t ~actor label = if t.enabled then push t ~actor ~gid:no_gid label
 
 let record_gid t ~actor ~gid label =
   if gid = no_gid then invalid_arg "Trace.record_gid: gid is min_int";
-  push t ~actor ~gid label
+  if t.enabled then push t ~actor ~gid label
 
 let label_at t i =
   let gid = t.gids.(i) in

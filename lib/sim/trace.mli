@@ -6,18 +6,32 @@
     — e.g. "the global decision lies strictly between every site's ready
     point and its commit point" for Figure 3.
 
-    A trace is always on, and the protocols record into it on every
-    transaction, so recording is cheap: an entry is a time, an actor, a gid
-    and a label stored in unboxed columns, and {!record_gid} allocates
-    nothing beyond the doubling growth of the columns. A gid-tagged entry
-    reads as the label ["g<gid>:<label>"]; that string is built only when a
-    query below reads the entry. *)
+    A trace records only when it is enabled. A run's protocols call
+    {!record_gid} on every step of every transaction, but only the figure
+    experiments (F2-F7), the examples and the tests that query a
+    federation's trace pass an enabled one; [Federation.create]'s default
+    is a disabled trace, on which {!record} and {!record_gid} return at
+    once and nothing is retained.
+
+    Recording is cheap: an entry is a time, an actor, a gid and a label
+    stored in unboxed columns, and {!record_gid} allocates nothing beyond
+    the doubling growth of the columns. A gid-tagged entry reads as the
+    label ["g<gid>:<label>"]; that string is built only when a query below
+    reads the entry. *)
 
 type entry = { time : float; actor : string; label : string }
 
 type t
 
-val create : Engine.t -> t
+(** [create ?enabled engine] is an empty trace on [engine]'s clock.
+    [enabled] defaults to [true]. A disabled trace records nothing: its
+    {!length} stays 0, {!find}, {!find_all} and {!entries} find nothing and
+    {!render} is empty; it allocates no columns. *)
+val create : ?enabled:bool -> Engine.t -> t
+
+(** Whether the trace records. A caller that builds a label string for
+    {!record_gid} tests this first, so a disabled trace costs no string. *)
+val enabled : t -> bool
 
 (** [record t ~actor label] appends an entry stamped with the current virtual
     time. *)
@@ -26,7 +40,8 @@ val record : t -> actor:string -> string -> unit
 (** [record_gid t ~actor ~gid label] appends an entry that every query
     below reads as the label ["g<gid>:<label>"], without building that
     string. [label] is stored as given, so pass a static string on hot
-    paths. Raises [Invalid_argument] when [gid] is [min_int]. *)
+    paths. Raises [Invalid_argument] when [gid] is [min_int], enabled or
+    not. *)
 val record_gid : t -> actor:string -> gid:int -> string -> unit
 
 (** Entries in recording order, labels rendered. *)

@@ -75,21 +75,26 @@ type status = Active of Log.lsn | Prepared of Log.lsn
 (* Analysis and redo share one pass over the log: redo replays history
    whatever each transaction's fate, and analysis touches no page, so the
    pages see the same accesses in the same order as with two passes. The
-   page-LSN condition inside [apply_op] skips effects that reached the disk
-   before the crash. *)
+   page-LSN condition skips effects that reached the disk before the
+   crash. *)
 let restart log pool =
   let table : (Log.txn_id, status) Hashtbl.t = Hashtbl.create 64 in
   let committed = ref [] in
   let redo_count = ref 0 in
+  (* One fetch per record: the page is dirtied only when the record is
+     applied. *)
   let redo lsn op =
     let rid = rid_of op in
-    let needed =
-      Bp.with_page pool rid.page ~write:false (fun page -> Int64.to_int (Page.lsn page) < lsn)
+    let applied =
+      Bp.with_page_opt pool rid.page (fun page ->
+          if Int64.to_int (Page.lsn page) < lsn then begin
+            apply_unconditionally page op;
+            Page.set_lsn page (Int64.of_int lsn);
+            Some ()
+          end
+          else None)
     in
-    if needed then begin
-      apply_op pool ~lsn op;
-      incr redo_count
-    end
+    if Option.is_some applied then incr redo_count
   in
   Log.iter log (fun lsn record ->
       match record with

@@ -31,11 +31,11 @@ let site_cfg ?(prepare = true) ?(granularity = Db.Record_level) name =
       };
   }
 
-let make_fed ?(n = 2) ?(prepare = true) ?granularity eng =
+let make_fed ?(n = 2) ?(prepare = true) ?granularity ?trace eng =
   let configs =
     List.init n (fun i -> site_cfg ~prepare ?granularity (Printf.sprintf "s%d" i))
   in
-  Federation.create eng configs
+  Federation.create eng ?trace configs
 
 let load fed rows =
   List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.Federation.sites
@@ -77,7 +77,7 @@ let trace_of run_commit run_abort title =
   Buffer.add_string buf (heading title);
   let show label f =
     let eng = Sim.create () in
-    let fed = make_fed eng in
+    let fed = make_fed ~trace:(Trace.create eng) eng in
     load fed [ ("x", 100) ];
     let outcome = in_sim eng (fun () -> f fed) in
     Buffer.add_string buf (Printf.sprintf "\n--- %s (outcome: %s) ---\n" label
@@ -109,7 +109,7 @@ let fig4 () =
        "F4 - Commitment after the global decision (paper Figure 4)");
   (* The defining path: erroneous local abort after "ready" -> repetition. *)
   let eng = Sim.create () in
-  let fed = make_fed eng in
+  let fed = make_fed ~trace:(Trace.create eng) eng in
   load fed [ ("x", 100) ];
   kill_running_at eng fed ~site:"s0" ~at:6.5;
   let outcome = in_sim eng (fun () -> After.run fed (transfer_spec fed "x")) in
@@ -131,7 +131,7 @@ let fig6 () =
 
 let commit_points title expectation run =
   let eng = Sim.create () in
-  let fed = make_fed eng in
+  let fed = make_fed ~trace:(Trace.create eng) eng in
   load fed [ ("x", 100) ];
   ignore (in_sim eng (fun () -> run fed));
   let t actor label = Trace.find fed.trace ~actor ~label in

@@ -34,9 +34,9 @@ let site_cfg ?(prepare = true) ?(granularity = Db.Record_level) name =
       };
   }
 
-let make_fed ?(n = 2) ?(prepare = true) ?granularity eng =
+let make_fed ?(n = 2) ?(prepare = true) ?granularity ?trace eng =
   let configs = List.init n (fun i -> site_cfg ~prepare ?granularity (Printf.sprintf "s%d" i)) in
-  Federation.create eng configs
+  Federation.create eng ?trace configs
 
 let load_accounts fed rows =
   List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.Federation.sites
@@ -85,7 +85,7 @@ let test_2pc_commit_points_fig3 () =
   (* Figure 3: the global decision falls strictly between every site's
      ready point and its final commit. *)
   let eng = Sim.create () in
-  let fed = make_fed eng in
+  let fed = make_fed ~trace:(Trace.create eng) eng in
   load_accounts fed [ ("x", 100) ];
   ignore (in_sim eng (fun () -> Tpc.run fed (transfer_spec fed "x")));
   let t label actor = Option.get (Trace.find fed.trace ~actor ~label) in
@@ -173,7 +173,7 @@ let test_after_commit () =
 let test_after_commit_points_fig5 () =
   (* Figure 5: the decision precedes every local commitment. *)
   let eng = Sim.create () in
-  let fed = make_fed ~prepare:false eng in
+  let fed = make_fed ~trace:(Trace.create eng) ~prepare:false eng in
   load_accounts fed [ ("x", 100) ];
   ignore (in_sim eng (fun () -> After.run fed (transfer_spec fed "x")));
   let decision = Option.get (Trace.find fed.trace ~actor:"central" ~label:"g1:decision:commit") in
@@ -337,7 +337,7 @@ let test_before_commit () =
 let test_before_commit_points_fig7 () =
   (* Figure 7: every local commit precedes the global decision. *)
   let eng = Sim.create () in
-  let fed = make_fed ~prepare:false eng in
+  let fed = make_fed ~trace:(Trace.create eng) ~prepare:false eng in
   load_accounts fed [ ("x", 100) ];
   ignore (in_sim eng (fun () -> Before.run fed (transfer_spec fed "x")));
   let decision = Option.get (Trace.find fed.trace ~actor:"central" ~label:"g1:decision:commit") in
@@ -560,7 +560,7 @@ let test_mlt_commit () =
 
 let test_mlt_intended_abort_compensates () =
   let eng = Sim.create () in
-  let fed = make_fed ~prepare:false eng in
+  let fed = make_fed ~trace:(Trace.create eng) ~prepare:false eng in
   load_accounts fed [ ("x", 100) ];
   let outcome =
     in_sim eng (fun () -> Mlt.run fed (mlt_transfer fed ~abort_after:(Some 1) 30))
@@ -1108,6 +1108,296 @@ let test_action_log () =
     (List.map (fun (e : Action_log.entry) -> e.tag) (Action_log.entries log ~gid:1));
   Alcotest.(check int) "write count keeps history" 3 (Action_log.write_count log)
 
+(* The list-of-records serialization graph the columnar one replaced, kept
+   as its oracle: each site's history is a reversed list of locals, each a
+   record holding its interned (key, kind) array in the scratch table's
+   enumeration order. It must agree with [Graph] on everything recorded,
+   violation order included. *)
+module Graph_lists = struct
+  module Symbol = Icdb_util.Symbol
+  module Strtbl = Icdb_util.Strtbl
+  module Gid_store = Icdb_util.Gid_store
+
+  type kind = KRead | KIncr | KWrite
+  type local = { gid : int; compensation : bool; kinds : (Symbol.t * kind) array }
+
+  type t = {
+    syms : Symbol.table;
+    histories : local list ref Strtbl.t;
+    kinds_scratch : kind Strtbl.t;
+    outcomes : Gid_store.Bool.t;
+    mutable locals : int;
+  }
+
+  let create () =
+    {
+      syms = Symbol.create ~capacity:256 ();
+      histories = Strtbl.create 16;
+      kinds_scratch = Strtbl.create 8;
+      outcomes = Gid_store.Bool.create ();
+      locals = 0;
+    }
+
+  let internal_key key = String.length key >= 2 && key.[0] = '_' && key.[1] = '_'
+
+  let join k1 k2 =
+    match (k1, k2) with
+    | KWrite, _ | _, KWrite -> KWrite
+    | KRead, KIncr | KIncr, KRead -> KWrite
+    | KRead, KRead -> KRead
+    | KIncr, KIncr -> KIncr
+
+  let kinds_conflict k1 k2 =
+    match (k1, k2) with KRead, KRead | KIncr, KIncr -> false | _ -> true
+
+  let intern_kinds t accesses =
+    let tbl = t.kinds_scratch in
+    let strengthen key kind =
+      if not (internal_key key) then
+        match Strtbl.find_opt tbl key with
+        | None -> Strtbl.replace tbl key kind
+        | Some k ->
+          let j = join k kind in
+          if j <> k then Strtbl.replace tbl key j
+    in
+    List.iter
+      (function
+        | Db.Read { key; _ } -> strengthen key KRead
+        | Db.Wrote { key; _ } -> strengthen key KWrite
+        | Db.Incremented { key; _ } -> strengthen key KIncr)
+      accesses;
+    let items = Array.make (Strtbl.length tbl) (0, KRead) in
+    let i = ref 0 in
+    Strtbl.iter
+      (fun key kind ->
+        items.(!i) <- (Symbol.intern t.syms key, kind);
+        incr i)
+      tbl;
+    Strtbl.reset tbl;
+    items
+
+  let record_local t ~gid ~site ~compensation accesses =
+    let hist =
+      match Strtbl.find_opt t.histories site with
+      | Some h -> h
+      | None ->
+        let h = ref [] in
+        Strtbl.replace t.histories site h;
+        h
+    in
+    hist := { gid; compensation; kinds = intern_kinds t accesses } :: !hist;
+    t.locals <- t.locals + 1
+
+  let record_outcome t ~gid ~committed = Gid_store.Bool.replace t.outcomes gid committed
+
+  let committed_of t gid =
+    match Gid_store.Bool.find_opt t.outcomes gid with Some c -> c | None -> false
+
+  let forget_keys cells hist =
+    List.iter
+      (fun l ->
+        for i = 0 to Array.length l.kinds - 1 do
+          cells.(fst l.kinds.(i)) <- []
+        done)
+      hist
+
+  let edges t =
+    let succ : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+    let count = ref 0 in
+    let rec emit g2 = function
+      | [] -> ()
+      | g1 :: rest ->
+        if g1 <> g2 then begin
+          (match Hashtbl.find succ g1 with
+          | out -> out := g2 :: !out
+          | exception Not_found -> Hashtbl.add succ g1 (ref [ g2 ]));
+          incr count
+        end;
+        emit g2 rest
+    in
+    let n = Symbol.count t.syms in
+    let run_kind = Array.make n KRead in
+    let members = Array.make n [] in
+    let prev = Array.make n [] in
+    Strtbl.iter
+      (fun _site hist ->
+        List.iter
+          (fun l ->
+            if committed_of t l.gid && not l.compensation then
+              for i = 0 to Array.length l.kinds - 1 do
+                let key, kind = l.kinds.(i) in
+                match members.(key) with
+                | [] ->
+                  run_kind.(key) <- kind;
+                  members.(key) <- [ l.gid ];
+                  prev.(key) <- []
+                | run ->
+                  if run_kind.(key) = kind && kind <> KWrite then members.(key) <- l.gid :: run
+                  else begin
+                    prev.(key) <- run;
+                    members.(key) <- [ l.gid ];
+                    run_kind.(key) <- kind
+                  end;
+                  emit l.gid prev.(key)
+              done)
+          (List.rev !hist);
+        forget_keys members !hist)
+      t.histories;
+    (succ, !count)
+
+  let find_cycle t =
+    let succ, _ = edges t in
+    let state = Hashtbl.create 64 in
+    let exception Found of int list in
+    let rec dfs path node =
+      match Hashtbl.find_opt state node with
+      | Some 1 -> ()
+      | Some _ ->
+        let rec cut = function
+          | [] -> []
+          | x :: rest -> if x = node then [ x ] else x :: cut rest
+        in
+        raise (Found (List.rev (cut path)))
+      | None ->
+        Hashtbl.replace state node 0;
+        (match Hashtbl.find_opt succ node with
+        | Some out -> List.iter (dfs (node :: path)) !out
+        | None -> ());
+        Hashtbl.replace state node 1
+    in
+    try
+      Hashtbl.iter (fun node _ -> dfs [ node ] node) succ;
+      None
+    with Found cycle -> Some cycle
+
+  let rec open_at p = function
+    | [] -> []
+    | ((_, _, _, wend) as w) :: rest as ws ->
+      let open_rest = open_at p rest in
+      if wend <= p then open_rest else if open_rest == rest then ws else w :: open_rest
+
+  let rec note_pairs pairs ~reader gid kind = function
+    | [] -> ()
+    | (i, wgid, wkind, _) :: rest ->
+      if wgid <> gid && kinds_conflict wkind kind then Hashtbl.replace pairs (i, reader) ();
+      note_pairs pairs ~reader gid kind rest
+
+  let dirty_reads t =
+    let found = ref [] in
+    let open_windows = Array.make (Symbol.count t.syms) [] in
+    Strtbl.iter
+      (fun site hist ->
+        if List.exists (fun l -> not (l.compensation || committed_of t l.gid)) !hist then begin
+          let ordered = Array.of_list (List.rev !hist) in
+          let n = Array.length ordered in
+          let window_end = Array.make n n in
+          let next_comp = Hashtbl.create 16 in
+          for i = n - 1 downto 0 do
+            let l = ordered.(i) in
+            (match Hashtbl.find next_comp l.gid with
+            | c -> window_end.(i) <- c
+            | exception Not_found -> ());
+            if l.compensation then Hashtbl.replace next_comp l.gid i
+          done;
+          let pairs = Hashtbl.create 16 in
+          for p = 0 to n - 1 do
+            let l = ordered.(p) in
+            if not l.compensation then begin
+              let committed = committed_of t l.gid in
+              for k = 0 to Array.length l.kinds - 1 do
+                let key, kind = l.kinds.(k) in
+                let windows = open_at p open_windows.(key) in
+                open_windows.(key) <- windows;
+                if committed then note_pairs pairs ~reader:p l.gid kind windows
+                else if kind <> KRead then
+                  open_windows.(key) <- (p, l.gid, kind, window_end.(p)) :: windows
+              done
+            end
+          done;
+          forget_keys open_windows !hist;
+          let site_pairs =
+            List.sort compare (Hashtbl.fold (fun ij () acc -> ij :: acc) pairs [])
+          in
+          List.iter
+            (fun (i, j) ->
+              found :=
+                Graph.Dirty_read
+                  { reader = ordered.(j).gid; aborted_writer = ordered.(i).gid; site }
+                :: !found)
+            site_pairs
+        end)
+      t.histories;
+    List.rev !found
+
+  let violations t =
+    (match find_cycle t with Some c -> [ Graph.Cycle c ] | None -> []) @ dirty_reads t
+
+  let recorded_locals t = t.locals
+  let edge_count t = snd (edges t)
+end
+
+(* Property: the columnar graph agrees with the list-of-records oracle on
+   random multi-site histories: reads, writes and increments, "__" marker
+   keys, a key repeated within one local, compensations, and committed,
+   aborted and never-decided gids, with the sites' records interleaved.
+   Violations must match in order, as must edge counts and local counts. *)
+let prop_columnar_graph_matches_lists =
+  let open QCheck2 in
+  let gen =
+    (* a local: (site, gid, compensation, accesses); keys 0-4 of which 4 is
+       a "__" marker, key 0 hot; outcomes: 0 committed, 1 aborted, 2 none *)
+    Gen.(
+      int_range 1 6 >>= fun n_gids ->
+      let key = frequency [ (4, pure 0); (2, int_range 1 3); (1, pure 4) ] in
+      let access = pair key (int_range 0 2) in
+      let local =
+        tup4 (int_range 0 3) (int_range 1 n_gids)
+          (frequency [ (4, pure false); (1, pure true) ])
+          (list_size (int_range 0 4) access)
+      in
+      triple (pure n_gids)
+        (list_size (frequency [ (1, int_range 0 8); (3, int_range 20 60) ]) local)
+        (list_repeat n_gids (frequency [ (3, pure 0); (2, pure 1); (1, pure 2) ])))
+  in
+  let print (n, locals, outcomes) =
+    Printf.sprintf "gids=%d outcomes=[%s] locals=[%s]" n
+      (String.concat ";" (List.map string_of_int outcomes))
+      (String.concat "; "
+         (List.map
+            (fun (s, g, c, accs) ->
+              Printf.sprintf "S%d g%d%s {%s}" s g
+                (if c then " comp" else "")
+                (String.concat ","
+                   (List.map (fun (k, kind) -> Printf.sprintf "%d:%d" k kind) accs)))
+            locals))
+  in
+  QCheck2.Test.make ~name:"columnar graph matches the list-of-records oracle" ~count:500
+    ~print gen (fun (_, locals, outcomes) ->
+      let access_of (key_i, kind_i) =
+        let key = if key_i = 4 then "__cm:1" else Printf.sprintf "k%d" key_i in
+        match kind_i with
+        | 0 -> Db.Read { key; value = None }
+        | 1 -> Db.Wrote { key; before = None; after = Some 1 }
+        | _ -> Db.Incremented { key; delta = 1 }
+      in
+      let g = Graph.create () and oracle = Graph_lists.create () in
+      List.iter
+        (fun (s, gid, compensation, accs) ->
+          let site = Printf.sprintf "S%d" s and accesses = List.map access_of accs in
+          Graph.record_local g ~gid ~site ~compensation accesses;
+          Graph_lists.record_local oracle ~gid ~site ~compensation accesses)
+        locals;
+      List.iteri
+        (fun i o ->
+          if o < 2 then begin
+            Graph.record_outcome g ~gid:(i + 1) ~committed:(o = 0);
+            Graph_lists.record_outcome oracle ~gid:(i + 1) ~committed:(o = 0)
+          end)
+        outcomes;
+      Graph.violations g = Graph_lists.violations oracle
+      && Graph.edge_count g = Graph_lists.edge_count oracle
+      && Graph.recorded_locals g = Graph_lists.recorded_locals oracle)
+
 let () =
   Alcotest.run "core"
     [
@@ -1183,5 +1473,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_graph_matches_bruteforce;
           QCheck_alcotest.to_alcotest prop_graph_matches_reference_oracle;
+          QCheck_alcotest.to_alcotest prop_columnar_graph_matches_lists;
         ] );
     ]

@@ -31,9 +31,9 @@ let site_cfg ~prepare name =
   }
 
 (* s0 prepare-capable, s1 not (unless [uniform]). *)
-let make_fed ?(uniform_prepare = None) eng =
+let make_fed ?(uniform_prepare = None) ?trace eng =
   let prepare i = match uniform_prepare with Some p -> p | None -> i = 0 in
-  Federation.create eng
+  Federation.create eng ?trace
     [ site_cfg ~prepare:(prepare 0) "s0"; site_cfg ~prepare:(prepare 1) "s1" ]
 
 let load fed rows =
@@ -138,7 +138,7 @@ let test_pa_crash_matrix () =
 
 let test_hybrid_commit_mixed_legs () =
   let eng = Sim.create () in
-  let fed = make_fed eng in
+  let fed = make_fed ~trace:(Trace.create eng) eng in
   load fed [ ("x", 100) ];
   let outcome = in_sim eng (fun () -> Hybrid.run fed (transfer_spec fed "x")) in
   Alcotest.check outcome_testable "committed" Global.Committed outcome;
@@ -293,7 +293,7 @@ let test_undo_not_duplicated_under_loss () =
 
 let test_hybrid_no_capable_sites_behaves_like_before () =
   let eng = Sim.create () in
-  let fed = make_fed ~uniform_prepare:(Some false) eng in
+  let fed = make_fed ~trace:(Trace.create eng) ~uniform_prepare:(Some false) eng in
   load fed [ ("x", 100) ];
   let outcome = in_sim eng (fun () -> Hybrid.run fed (transfer_spec fed "x")) in
   Alcotest.check outcome_testable "committed" Global.Committed outcome;
@@ -304,7 +304,7 @@ let test_hybrid_no_capable_sites_behaves_like_before () =
 
 let test_hybrid_all_capable_behaves_like_2pc () =
   let eng = Sim.create () in
-  let fed = make_fed ~uniform_prepare:(Some true) eng in
+  let fed = make_fed ~trace:(Trace.create eng) ~uniform_prepare:(Some true) eng in
   load fed [ ("x", 100) ];
   let outcome = in_sim eng (fun () -> Hybrid.run fed (transfer_spec fed "x")) in
   Alcotest.check outcome_testable "committed" Global.Committed outcome;

@@ -529,6 +529,24 @@ let test_trace_find_all_and_clear () =
   Trace.clear tr;
   Alcotest.(check int) "cleared" 0 (Trace.length tr)
 
+let test_trace_disabled_records_nothing () =
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:false eng in
+  Alcotest.(check bool) "disabled" false (Trace.enabled tr);
+  Alcotest.(check bool) "default enabled" true (Trace.enabled (Trace.create eng));
+  Trace.record tr ~actor:"a" "start";
+  Trace.record_gid tr ~actor:"a" ~gid:1 "ready";
+  Alcotest.(check int) "length" 0 (Trace.length tr);
+  Alcotest.(check (option (float 1e-9))) "find" None (Trace.find tr ~actor:"a" ~label:"start");
+  Alcotest.(check (option (float 1e-9))) "find gid" None
+    (Trace.find tr ~actor:"a" ~label:"g1:ready");
+  Alcotest.(check int) "find_all" 0 (List.length (Trace.find_all tr ~label:"start"));
+  Alcotest.(check int) "entries" 0 (List.length (Trace.entries tr));
+  Alcotest.(check string) "render" "" (Trace.render tr);
+  Alcotest.check_raises "min_int still refused"
+    (Invalid_argument "Trace.record_gid: gid is min_int") (fun () ->
+      Trace.record_gid tr ~actor:"a" ~gid:min_int "x")
+
 (* A trace of mixed [record] and [record_gid] entries, mostly grown well
    past the initial 64 rows and now and then cleared, must answer every
    query as a plain list of concatenated labels does. The label pool includes a
@@ -668,6 +686,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_trace_basic;
           Alcotest.test_case "find_all and clear" `Quick test_trace_find_all_and_clear;
+          Alcotest.test_case "disabled records nothing" `Quick
+            test_trace_disabled_records_nothing;
           QCheck_alcotest.to_alcotest prop_trace_matches_reference;
         ] );
     ]

@@ -307,6 +307,19 @@ let prop_invariants_under_chaos =
       in
       r.money_conserved && r.serializable)
 
+(* A run keeps no protocol step timeline: the federation it builds has a
+   disabled trace, though every protocol records into it. *)
+let test_runner_retains_no_trace () =
+  List.iter
+    (fun protocol ->
+      let fed = ref None in
+      let r = Runner.run ~on_setup:(fun _ f -> fed := Some f) (small protocol) in
+      Alcotest.(check int) (Protocol.name protocol ^ " committed") 40 r.committed;
+      let fed = Option.get !fed in
+      Alcotest.(check bool) "trace disabled" false (Icdb_sim.Trace.enabled fed.trace);
+      Alcotest.(check int) "no trace entries" 0 (Icdb_sim.Trace.length fed.trace))
+    Protocol.all
+
 let () =
   Alcotest.run "workload"
     [
@@ -336,6 +349,7 @@ let () =
           Alcotest.test_case "2pc refuses optimistic site" `Quick
             test_runner_2pc_refuses_optimistic_site;
           Alcotest.test_case "read/write mix" `Quick test_runner_read_write_mix;
+          Alcotest.test_case "retains no trace" `Quick test_runner_retains_no_trace;
         ] );
       ( "experiments",
         [
