@@ -52,7 +52,11 @@ let resolve_entry (fed : Federation.t) ~gid ~(entry : Federation.journal_entry)
       | exception Failure _ -> () (* already finished before the crash *)
   in
   let undo_branch site_name =
-    let db = Site.db (Federation.site fed site_name) in
+    let site = Federation.site fed site_name in
+    (* A down site's heap lacks what only its restart redoes, the commit
+       marker included: read the marker once the site is back. *)
+    Site.await_up site;
+    let db = Site.db site in
     if Db.committed_value db (commit_marker ~gid) = Some 1 then begin
       let inverse =
         match
