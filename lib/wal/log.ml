@@ -90,6 +90,12 @@ let loc_bits = 11
 let loc_mask = (1 lsl loc_bits) - 1
 let max_chunks = 1 lsl (32 - loc_bits)
 
+(* The offset table holds the location of every [1 lsl stride_bits]th
+   retained record only; a record between two entries is found by skipping
+   forward from the entry before it. *)
+let stride_bits = 4
+let stride_mask = (1 lsl stride_bits) - 1
+
 (* The offset table's chunks hold [1 lsl offs_bits] entries (1 KiB). *)
 let offs_bits = 8
 let offs_mask = (1 lsl offs_bits) - 1
@@ -114,8 +120,9 @@ let put_int b p n = put_varint b p (zigzag n)
    chunk 0; [pos] is the write cursor in [chunks.(cur)]. Chunks past [cur]
    are spares left by {!crash}, reused by later appends. A new log has no
    chunk yet ([cur = -1], [pos] at the end), so creating one allocates no
-   chunk. The record with LSN [l] is the [l - base - 1]th retained one;
-   [len] counts them. *)
+   chunk. The record with LSN [l] is the [i = l - base - 1]th retained one;
+   [len] counts them. Entry [i lsr stride_bits] of [offs] holds the location
+   of retained record [i land lnot stride_mask]. *)
 type t = {
   mutable chunks : bytes array;
   mutable cur : int;
@@ -150,15 +157,15 @@ let grow a =
   Array.blit a 0 bigger 0 (Array.length a);
   bigger
 
-let loc t i =
-  let b = t.offs.(i lsr offs_bits) and p = 4 * (i land offs_mask) in
+let stride_loc t e =
+  let b = t.offs.(e lsr offs_bits) and p = 4 * (e land offs_mask) in
   Bytes.get_uint16_le b p lor (Bytes.get_uint16_le b (p + 2) lsl 16)
 
-let set_loc t i loc =
-  let c = i lsr offs_bits in
+let set_stride_loc t e loc =
+  let c = e lsr offs_bits in
   if c = Array.length t.offs then t.offs <- grow t.offs;
   if Bytes.length t.offs.(c) = 0 then t.offs.(c) <- Bytes.create (4 lsl offs_bits);
-  let b = t.offs.(c) and p = 4 * (i land offs_mask) in
+  let b = t.offs.(c) and p = 4 * (e land offs_mask) in
   Bytes.set_uint16_le b p (loc land 0xffff);
   Bytes.set_uint16_le b (p + 2) (loc lsr 16)
 
@@ -170,11 +177,13 @@ let next_chunk t =
   if t.cur = Array.length t.chunks then t.chunks <- grow t.chunks;
   if Bytes.length t.chunks.(t.cur) = 0 then t.chunks.(t.cur) <- Bytes.create chunk_bytes
 
-(* Starts a record of at most [need] bytes: writes its tag and location and
-   returns the position after the tag. [finish] closes it at [p]. *)
+(* Starts a record of at most [need] bytes: writes its tag, and its location
+   when it opens a stride, and returns the position after the tag. [finish]
+   closes it at [p]. *)
 let start t ~need tag =
   if t.pos + need > chunk_bytes then next_chunk t;
-  set_loc t t.len ((t.cur lsl loc_bits) lor t.pos);
+  if t.len land stride_mask = 0 then
+    set_stride_loc t (t.len lsr stride_bits) ((t.cur lsl loc_bits) lor t.pos);
   Bytes.set t.chunks.(t.cur) t.pos (Char.unsafe_chr tag);
   t.pos + 1
 
@@ -234,7 +243,8 @@ let append_insert t ~txn ~prev ~rid ~key ~value =
 
 (* --- decoding ------------------------------------------------------------- *)
 
-type cursor = { mutable b : bytes; mutable p : int }
+(* Position [p] in chunk number [chunk], whose bytes are [b]. *)
+type cursor = { mutable chunk : int; mutable b : bytes; mutable p : int }
 
 let get_varint c =
   let b = c.b in
@@ -250,6 +260,54 @@ let get_varint c =
   go c.p 0 0
 
 let get_int c = unzigzag (get_varint c)
+
+let skip_varint c =
+  while Char.code (Bytes.get c.b c.p) >= 0x80 do
+    c.p <- c.p + 1
+  done;
+  c.p <- c.p + 1
+
+(* Moves [c] past the record at [c] without building it: the fields
+   [decode] reads, in the same order. *)
+let skip c =
+  let tag = Char.code (Bytes.get c.b c.p) in
+  c.p <- c.p + 1;
+  if tag = tag_prepare then begin
+    skip_varint c;
+    skip_varint c
+  end
+  else if tag < tag_checkpoint then skip_varint c
+  else if tag > tag_checkpoint then begin
+    (* txn, link, rid page, rid slot *)
+    for _ = 1 to 4 do
+      skip_varint c
+    done;
+    let klen = get_varint c in
+    c.p <- c.p + klen;
+    skip_varint c;
+    if tag land 3 = kind_update then skip_varint c
+  end
+
+(* A chunk ends at its last byte or at [tag_end]; a record that did not fit
+   starts the next chunk. Moves [c] there when the next record does. *)
+let turn_chunk t c =
+  if c.p = chunk_bytes || Bytes.get c.b c.p = tag_end then begin
+    c.chunk <- c.chunk + 1;
+    c.b <- t.chunks.(c.chunk);
+    c.p <- 0
+  end
+
+(* A cursor at retained record [i]: its stride's entry, then [i land
+   stride_mask] records skipped, at most 15. *)
+let seek t i =
+  let l = stride_loc t (i lsr stride_bits) in
+  let chunk = l lsr loc_bits in
+  let c = { chunk; b = t.chunks.(chunk); p = l land loc_mask } in
+  for _ = 1 to i land stride_mask do
+    skip c;
+    turn_chunk t c
+  done;
+  c
 
 (* Decodes the record with LSN [lsn] at [c], leaving [c] after it. *)
 let decode t c lsn =
@@ -301,17 +359,17 @@ let flushed_lsn t = t.flushed
 
 let get t lsn =
   if lsn <= t.base || lsn > last_lsn t then invalid_arg "Log.get: LSN out of range";
-  let l = loc t (lsn - t.base - 1) in
-  decode t { b = t.chunks.(l lsr loc_bits); p = l land loc_mask } lsn
+  decode t (seek t (lsn - t.base - 1)) lsn
 
 (* The write cursor goes back to where the first lost record starts; the
-   bytes past it are dead and later appends overwrite them. *)
+   bytes past it are dead and later appends overwrite them, stride entries
+   included. *)
 let crash t =
   let kept = max 0 (t.flushed - t.base) in
   if kept < t.len then begin
-    let l = loc t kept in
-    t.cur <- l lsr loc_bits;
-    t.pos <- l land loc_mask;
+    let c = seek t kept in
+    t.cur <- c.chunk;
+    t.pos <- c.p;
     t.len <- kept;
     if Hashtbl.length t.checkpoints > 0 then
       Hashtbl.filter_map_inplace
@@ -321,21 +379,14 @@ let crash t =
 
 let first_lsn t = t.base + 1
 
-(* Decodes retained records [first ..] in order, chunk after chunk: a chunk
-   ends at its last byte or at [tag_end]. [f] may append; it sees only the
-   records retained when the walk began. *)
+(* Decodes retained records [first ..] in order, chunk after chunk. [f] may
+   append; it sees only the records retained when the walk began. *)
 let iter_from t first f =
   let n = t.len in
   if first < n then begin
-    let l = loc t first in
-    let chunk = ref (l lsr loc_bits) in
-    let c = { b = t.chunks.(!chunk); p = l land loc_mask } in
+    let c = seek t first in
     for i = first to n - 1 do
-      if c.p = chunk_bytes || Bytes.get c.b c.p = tag_end then begin
-        incr chunk;
-        c.b <- t.chunks.(!chunk);
-        c.p <- 0
-      end;
+      turn_chunk t c;
       let lsn = t.base + i + 1 in
       f lsn (decode t c lsn)
     done

@@ -56,21 +56,27 @@ val pp_record : Format.formatter -> record -> unit
     zigzagged. [prev], [next_undo] and [last] are stored as the distance
     back from the record's own LSN, so a record encodes the same wherever
     it sits. An op's key is stored inline after its varint length. The
-    insert of an 11-byte key takes about 21 bytes plus its 4-byte location,
-    where a boxed [Op] with its [Insert] block and array slot took about 9
-    words (72 bytes).
+    insert of an 11-byte key takes about 21 bytes plus a quarter byte of
+    location, where a boxed [Op] with its [Insert] block and array slot took
+    about 9 words (72 bytes).
 
-    A chunked table of 4-byte locations (chunk number and offset) maps each
-    LSN to its record, for {!get}. The rare [Checkpoint] record is a tag
-    byte whose payload stays boxed in a side table keyed by LSN.
+    A sparse table of 4-byte locations (chunk number and offset) holds the
+    location of every 16th retained record only: 0.25 bytes per record. A
+    record in between is found from its stride's entry by skipping forward
+    over at most 15 records; a skip reads a tag byte, varint continuation
+    bits and a key length, and builds nothing. The stride is fixed. The
+    rare [Checkpoint] record is a tag byte whose payload stays boxed in a
+    side table keyed by LSN.
 
     What allocates: appends write into the current chunk and retain no
     block (a fresh chunk every 2,040 bytes aside); {!append_insert} takes
     the insert's fields, so the preload builds no record at all. Reads
     build records: {!get} and {!iter} decode each record as it is read,
-    its key string included. {!crash} moves the write cursor back to where
-    the first lost record began (O(1)); {!truncate_prefix} re-encodes the
-    retained suffix into fresh chunks. *)
+    its key string included. {!get} costs up to 15 skips before its decode;
+    {!iter} skips as much once, to find its first record. {!crash} moves
+    the write cursor back to where the first lost record began, after the
+    same up-to-15 skips; {!truncate_prefix} re-encodes the retained suffix
+    into fresh chunks. *)
 type t
 
 val create : unit -> t
@@ -98,8 +104,9 @@ val last_lsn : t -> lsn
 
 val flushed_lsn : t -> lsn
 
-(** [get t lsn] reads a record. Raises [Invalid_argument] for LSNs outside
-    [\[1, last_lsn\]]. *)
+(** [get t lsn] reads a record: up to 15 skips from the nearest stored
+    location, then one decode. Raises [Invalid_argument] for LSNs outside
+    [\[first_lsn, last_lsn\]]. *)
 val get : t -> lsn -> record
 
 (** [crash t] discards the unflushed tail — the volatile loss that happens

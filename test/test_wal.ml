@@ -200,7 +200,15 @@ let log_key =
   QCheck2.Gen.(
     map2
       (fun len c -> String.make len c)
-      (frequency [ (3, pure 1); (2, pure 255); (3, int_range 2 20); (1, pure 300) ])
+      (frequency
+         [
+           (3, pure 1);
+           (2, pure 255);
+           (3, int_range 2 20);
+           (1, pure 300);
+           (* long enough that a record often ends its chunk early *)
+           (1, int_range 1000 1983);
+         ])
       (char_range 'a' 'z'))
 
 let log_rid = QCheck2.Gen.(map2 (fun page slot : Heap.rid -> { page; slot }) extreme_int extreme_int)
@@ -283,42 +291,122 @@ let logs_agree log boxed =
        (0 :: (first - 1) :: (last + 1) :: List.init (last - first + 1) (fun i -> first + i))
   && listing Log.iter log = listing Boxed.iter boxed
 
+let apply_step log boxed = function
+  | Append rs ->
+    List.iter
+      (fun r ->
+        let l = Log.append log r in
+        if l <> Boxed.append boxed r then failwith "append returned another LSN")
+      rs
+  | Append_insert { txn; prev; rid; key; value } ->
+    let l = Log.append_insert log ~txn ~prev ~rid ~key ~value in
+    if l <> Boxed.append boxed (Op { txn; op = Insert { rid; key; value }; prev }) then
+      failwith "append_insert returned another LSN"
+  | Flush ->
+    Log.flush log;
+    Boxed.flush boxed
+  | Flush_to k ->
+    Log.flush_to log (boxed.flushed + k);
+    Boxed.flush_to boxed (boxed.flushed + k)
+  | Crash ->
+    Log.crash log;
+    Boxed.crash boxed
+  | Truncate k ->
+    let keep_from =
+      if k = max_int then Boxed.last_lsn boxed + 1 else Boxed.first_lsn boxed + k
+    in
+    Log.truncate_prefix log ~keep_from;
+    Boxed.truncate_prefix boxed ~keep_from
+
+(* Every case opens with at least 48 records, three strides of the log's
+   location table (an entry every 16th record), so gets, crashes and
+   truncations land inside strides as well as on their first slot. *)
 let prop_log_matches_boxed =
   QCheck2.Test.make ~name:"encoded log = boxed reference log" ~count:150
     ~print:QCheck2.Print.(list pp_log_step)
-    QCheck2.Gen.(list_size (int_range 1 30) log_step)
+    QCheck2.Gen.(
+      let* first = no_shrink (list_size (int_range 48 150) log_record) in
+      let* steps = list_size (int_range 1 30) log_step in
+      pure (Append first :: steps))
     (fun steps ->
       let log = Log.create () and boxed = Boxed.create () in
       List.for_all
         (fun step ->
-          (match step with
-          | Append rs ->
-            List.iter
-              (fun r ->
-                let l = Log.append log r in
-                if l <> Boxed.append boxed r then failwith "append returned another LSN")
-              rs
-          | Append_insert { txn; prev; rid; key; value } ->
-            let l = Log.append_insert log ~txn ~prev ~rid ~key ~value in
-            if l <> Boxed.append boxed (Op { txn; op = Insert { rid; key; value }; prev }) then
-              failwith "append_insert returned another LSN"
-          | Flush ->
-            Log.flush log;
-            Boxed.flush boxed
-          | Flush_to k ->
-            Log.flush_to log (boxed.flushed + k);
-            Boxed.flush_to boxed (boxed.flushed + k)
-          | Crash ->
-            Log.crash log;
-            Boxed.crash boxed
-          | Truncate k ->
-            let keep_from =
-              if k = max_int then Boxed.last_lsn boxed + 1 else Boxed.first_lsn boxed + k
-            in
-            Log.truncate_prefix log ~keep_from;
-            Boxed.truncate_prefix boxed ~keep_from);
+          apply_step log boxed step;
           logs_agree log boxed)
         steps)
+
+(* Each record kind in the first and the last slot of a stride (retained
+   records 16 and 31, 32 and 47), between fillers of every kind whose keys
+   of up to 1,983 bytes end chunks early. For every cut point the log must
+   agree with the boxed one after a crash there and after a truncation
+   there, and again once more records are appended over the dead tail. *)
+let test_log_strides_every_kind () =
+  let rid i : Heap.rid = { page = i * 37; slot = -i } in
+  let big i = ((i * 7919) lsl (i mod 50)) - i in
+  let key i = String.make (List.nth [ 1; 11; 255; 700; 1500; 1983 ] (i mod 6)) 'k' in
+  let kinds =
+    let op i kind =
+      match kind with
+      | 0 -> Log.Insert { rid = rid i; key = key i; value = big i }
+      | 1 -> Log.Delete { rid = rid i; key = key i; value = -big i }
+      | 2 -> Log.Update { rid = rid i; key = key i; before = big i; after = -big (i + 3) }
+      | _ -> Log.Incr { rid = rid i; key = key i; delta = big i }
+    in
+    [
+      (fun i -> Append [ Begin (big i) ]);
+      (fun i -> Append [ Commit (big i) ]);
+      (fun i -> Append [ Abort (big i) ]);
+      (fun i -> Append [ Prepare { txn = big i; last = i - 3 } ]);
+      (fun i -> Append [ Checkpoint { active = [ (i, i - 1) ]; dirty = [ i ] } ]);
+      (fun i -> Append_insert { txn = i; prev = i - 1; rid = rid i; key = key i; value = big i });
+    ]
+    @ List.concat_map
+        (fun kind ->
+          [
+            (fun i -> Append [ Op { txn = big i; op = op i kind; prev = i - 1 } ]);
+            (fun i -> Append [ Clr { txn = i; op = op i kind; next_undo = i - 5 } ]);
+          ])
+        [ 0; 1; 2; 3 ]
+  in
+  let n = 64 in
+  let build kind =
+    let log = Log.create () and boxed = Boxed.create () in
+    for i = 0 to n - 1 do
+      let slot = i land 15 in
+      let step =
+        if i >= 16 && (slot = 0 || slot = 15) then kind i
+        else List.nth kinds ((i * 5) mod List.length kinds) i
+      in
+      apply_step log boxed step
+    done;
+    (log, boxed)
+  in
+  let more = List.init 20 (fun i -> List.nth kinds (i mod List.length kinds) (n + i)) in
+  List.iteri
+    (fun k kind ->
+      let log, boxed = build kind in
+      Alcotest.(check bool) (Printf.sprintf "kind %d: built" k) true (logs_agree log boxed);
+      for cut = 0 to n do
+        List.iter
+          (fun (what, cut_at) ->
+            let log, boxed = build kind in
+            cut_at log boxed;
+            let ok = logs_agree log boxed in
+            List.iter (apply_step log boxed) more;
+            Alcotest.(check bool)
+              (Printf.sprintf "kind %d: %s at %d" k what cut)
+              true
+              (ok && logs_agree log boxed))
+          [
+            ( "crash",
+              fun log boxed ->
+                apply_step log boxed (Flush_to cut);
+                apply_step log boxed Crash );
+            ("truncate", fun log boxed -> apply_step log boxed (Truncate cut));
+          ]
+      done)
+    kinds
 
 (* --- inverse --- *)
 
@@ -536,7 +624,12 @@ let () =
           Alcotest.test_case "clamping" `Quick test_log_truncate_clamps;
           Alcotest.test_case "crash after truncate" `Quick test_log_crash_after_truncate;
         ] );
-      ("encoding", [ QCheck_alcotest.to_alcotest prop_log_matches_boxed ]);
+      ( "encoding",
+        [
+          QCheck_alcotest.to_alcotest prop_log_matches_boxed;
+          Alcotest.test_case "every kind at a stride's ends" `Quick
+            test_log_strides_every_kind;
+        ] );
       ( "inverse",
         [
           Alcotest.test_case "involutive" `Quick test_inverse_involutive;
