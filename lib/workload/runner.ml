@@ -339,15 +339,23 @@ let phase_breakdown registry ~protocol =
         of_protocol)
     Span.all_phases
 
-let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
+let check_config cfg =
   if cfg.n_sites <= 0 || cfg.n_txns < 0 || cfg.concurrency <= 0 then
-    invalid_arg "Runner.run: bad configuration";
-  if cfg.shards < 1 || cfg.shards > cfg.n_sites then
-    invalid_arg "Runner.run: shards must be in 1..n_sites";
-  if cfg.cross_shard_fraction < 0.0 || cfg.cross_shard_fraction > 1.0 then
-    invalid_arg "Runner.run: cross_shard_fraction must be in [0,1]";
-  if cfg.acceptors < 1 || cfg.acceptors mod 2 = 0 || cfg.acceptors > cfg.n_sites
-  then invalid_arg "Runner.run: acceptors must be odd and in 1..n_sites";
+    Error "bad configuration"
+  else if cfg.shards < 1 || cfg.shards > cfg.n_sites then
+    Error
+      (Printf.sprintf "shards must be in 1..%d (%d sites), not %d" cfg.n_sites cfg.n_sites
+         cfg.shards)
+  else if cfg.cross_shard_fraction < 0.0 || cfg.cross_shard_fraction > 1.0 then
+    Error "cross_shard_fraction must be in [0,1]"
+  else if cfg.acceptors < 1 || cfg.acceptors mod 2 = 0 || cfg.acceptors > cfg.n_sites then
+    Error
+      (Printf.sprintf "acceptors must be odd and in 1..%d (%d sites), not %d" cfg.n_sites
+         cfg.n_sites cfg.acceptors)
+  else Ok ()
+
+let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
+  Result.iter_error (fun msg -> invalid_arg ("Runner.run: " ^ msg)) (check_config cfg);
   let engine = Sim.create () in
   (* A caller-supplied tracer predates this engine; point it at our clock. *)
   Option.iter

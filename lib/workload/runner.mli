@@ -145,8 +145,16 @@ type report = {
   paxos_failovers : int;  (** new-leader elections triggered *)
 }
 
+(** [check_config config] is [Ok ()] for a configuration {!run} accepts,
+    otherwise [Error] with one line naming the field and its valid range:
+    sites, transactions and concurrency, [shards] in [1 .. n_sites],
+    [cross_shard_fraction] in [\[0, 1\]], [acceptors] odd and in
+    [1 .. n_sites]. *)
+val check_config : config -> (unit, string) result
+
 (** [run config] builds the federation, runs the workload to completion and
-    returns the report. Deterministic in [config.seed].
+    returns the report. Deterministic in [config.seed]. Raises
+    [Invalid_argument] when {!check_config} refuses [config].
 
     [registry] and [tracer] are passed to {!Icdb_core.Federation.create}; by
     default each run gets a fresh registry and a disabled tracer. When a
