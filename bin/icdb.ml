@@ -256,7 +256,8 @@ let run_cmd =
              journal and decision log. Transactions confined to one shard commit in a \
              purely local round at their shard coordinator; cross-shard ones run a \
              top-level round over the participating shard coordinators. 1 (default) \
-             is the unsharded federation, byte-identical to older builds.")
+             is the unsharded federation, byte-identical to older builds. More shards \
+             than sites exits 2 before the run starts.")
   in
   let cross_shard =
     Arg.(
@@ -274,7 +275,8 @@ let run_cmd =
             "Replicate every commit/abort decision to $(docv) acceptor sites (Paxos \
              Commit; $(docv) odd, 2F+1, at most the site count) instead of forcing a \
              single coordinator log. 1 (default) installs nothing and is \
-             byte-identical to older builds.")
+             byte-identical to older builds. A $(docv) the sites cannot host exits 2 \
+             before the run starts.")
   in
   let decision_force_time =
     Arg.(
@@ -291,6 +293,34 @@ let run_cmd =
       zipf_theta message_loss group_commit_window msg_batch_window central_gc_window
       mlt_action_retries trace_out trace_stream trace_sample metrics_out prom_out
       shards cross_shard_fraction acceptors decision_force_time =
+    let cfg =
+      {
+        Runner.default with
+        protocol;
+        n_txns;
+        n_sites;
+        concurrency;
+        seed;
+        p_intended_abort;
+        p_spontaneous;
+        crash_rate;
+        zipf_theta;
+        message_loss;
+        group_commit_window;
+        msg_batch_window;
+        central_gc_window;
+        mlt_action_retries;
+        shards;
+        cross_shard_fraction;
+        acceptors;
+        decision_force_time;
+      }
+    in
+    (match Runner.check_config cfg with
+    | Ok () -> ()
+    | Error msg ->
+      Printf.eprintf "icdb run: %s\n" msg;
+      exit 2);
     let registry = Registry.create () in
     let tracer =
       (* Clock re-wired onto the run's engine by [Runner.run]. *)
@@ -313,30 +343,7 @@ let run_cmd =
     | Some tr when trace_sample < 1.0 ->
       Tracer.set_sampler tr (Some (Sampling.kind_filter ~seed ~rate:trace_sample))
     | _ -> ());
-    let r =
-      Runner.run ~registry ?tracer
-        {
-          Runner.default with
-          protocol;
-          n_txns;
-          n_sites;
-          concurrency;
-          seed;
-          p_intended_abort;
-          p_spontaneous;
-          crash_rate;
-          zipf_theta;
-          message_loss;
-          group_commit_window;
-          msg_batch_window;
-          central_gc_window;
-          mlt_action_retries;
-          shards;
-          cross_shard_fraction;
-          acceptors;
-          decision_force_time;
-        }
-    in
+    let r = Runner.run ~registry ?tracer cfg in
     let central_gc = match central_gc_window with Some w when w > 0.0 -> true | _ -> false in
     Printf.printf "protocol: %s\n%s" (Protocol.name protocol)
       (report_to_string ~central_gc ~sharded:(shards > 1) ~paxos:(acceptors > 1) r);

@@ -17,38 +17,48 @@ let pp_summary fmt s =
     s.entries_recovered s.decisions_pushed s.locals_aborted s.branches_redone
     s.branches_undone
 
-let crash (fed : Federation.t) =
-  Lock.reset fed.global_cc;
-  Lock.reset fed.l1_locks;
-  (* a central crash takes the whole volatile CC state with it, the shard
-     coordinators' tables included; per-shard crashes go through
-     {!Federation.shard_crash} instead *)
-  Array.iter
-    (fun (sh : Federation.shard) ->
-      Lock.reset sh.sh_cc;
-      Lock.reset sh.sh_l1)
-    fed.shards
+(* A central crash takes the whole volatile CC state with it, the shard
+   coordinators' tables included; a crash of one shard coordinator is
+   {!Federation.crash} on that coordinator alone. *)
+let crash (fed : Federation.t) = Federation.iter_coordinators fed Federation.crash
+
+type tally = {
+  mutable recovered : int;
+  mutable pushed : int;
+  mutable aborted : int;
+  mutable redone : int;
+  mutable undone : int;
+}
+
+let tally () = { recovered = 0; pushed = 0; aborted = 0; redone = 0; undone = 0 }
+
+let summary t =
+  {
+    entries_recovered = t.recovered;
+    decisions_pushed = t.pushed;
+    locals_aborted = t.aborted;
+    branches_redone = t.redone;
+    branches_undone = t.undone;
+  }
 
 (* Same marker scheme as Commit_before_mlt. *)
 let action_marker ~gid ~seq = "__am:" ^ string_of_int gid ^ ":" ^ string_of_int seq
 
-(* Shared per-entry resolution: push [decision] to the entry's branches and
-   action-log records, restricted to sites satisfying [site_ok] (always
-   true for whole-federation recovery; a shard's member set when a shard
-   coordinator recovers a cross-shard mirror, so it only touches its own
-   slice). All paths are marker-guarded/idempotent, so overlapping recovery
-   passes — or recovery racing the still-running top-level coordinator —
-   converge on the same state. *)
-let resolve_entry (fed : Federation.t) ~gid ~(entry : Federation.journal_entry)
-    ~decision ~site_ok ~pushed ~aborted ~redone ~undone =
+(* Push [decision] to the entry's branches and action-log records,
+   restricted to sites satisfying [site_ok]. All paths are
+   marker-guarded/idempotent, so overlapping recovery passes — or recovery
+   racing the still-running top-level coordinator — converge on the same
+   state. *)
+let apply (fed : Federation.t) ~gid ~(entry : Federation.journal_entry) ~decision
+    ~site_ok tally =
   let resolve_or_abort site_name txn_id =
     let site = Federation.site fed site_name in
     Site.await_up site;
     let db = Site.db site in
-    if Db.abort_txn_id db ~txn_id then incr aborted
+    if Db.abort_txn_id db ~txn_id then tally.aborted <- tally.aborted + 1
     else
       match Db.resolve_prepared db ~txn_id ~commit:decision with
-      | () -> incr pushed
+      | () -> tally.pushed <- tally.pushed + 1
       | exception Failure _ -> () (* already finished before the crash *)
   in
   let undo_branch site_name =
@@ -72,8 +82,15 @@ let resolve_entry (fed : Federation.t) ~gid ~(entry : Federation.journal_entry)
           ~compensation:true
           ~on_attempt:(fun () -> Metrics.compensation fed.metrics)
           inverse
-      then incr undone
+      then tally.undone <- tally.undone + 1
     end
+  in
+  (* roll back whatever original still runs at [site] *)
+  let abort_running db site =
+    List.iter
+      (fun (s, txn_id) ->
+        if s = site && Db.abort_txn_id db ~txn_id then tally.aborted <- tally.aborted + 1)
+      entry.j_branches
   in
   match entry.j_protocol with
   | "after" when decision ->
@@ -85,17 +102,13 @@ let resolve_entry (fed : Federation.t) ~gid ~(entry : Federation.journal_entry)
         if site_ok e.site then begin
           let site = Federation.site fed e.site in
           Site.await_up site;
-          let db = Site.db site in
-          List.iter
-            (fun (s, txn_id) ->
-              if s = e.site && Db.abort_txn_id db ~txn_id then incr aborted)
-            entry.j_branches;
+          abort_running (Site.db site) e.site;
           if
             persistently_apply fed ~gid ~site:e.site ~marker:(commit_marker ~gid)
               ~compensation:false
               ~on_attempt:(fun () -> Metrics.repetition fed.metrics)
               e.program
-          then incr redone
+          then tally.redone <- tally.redone + 1
         end)
       (Action_log.entries fed.redo_log ~gid)
   | "mlt" ->
@@ -110,17 +123,14 @@ let resolve_entry (fed : Federation.t) ~gid ~(entry : Federation.journal_entry)
                Site.await_up site;
                let db = Site.db site in
                (* roll back a still-running action first *)
-               List.iter
-                 (fun (s, txn_id) ->
-                   if s = e.site && Db.abort_txn_id db ~txn_id then incr aborted)
-                 entry.j_branches;
+               abort_running db e.site;
                if Db.committed_value db (action_marker ~gid ~seq) = Some 1 then
                  if
                    persistently_apply fed ~gid ~site:e.site
                      ~marker:(undo_marker ~gid ~seq) ~compensation:true
                      ~on_attempt:(fun () -> Metrics.compensation fed.metrics)
                      e.program
-                 then incr undone
+                 then tally.undone <- tally.undone + 1
              end)
     end
   | _ ->
@@ -136,47 +146,56 @@ let resolve_entry (fed : Federation.t) ~gid ~(entry : Federation.journal_entry)
         (fun (e : Action_log.entry) -> if site_ok e.site then undo_branch e.site)
         (Action_log.entries fed.undo_log ~gid)
 
-(* The last word on an in-doubt gid before abort is presumed: with Paxos
-   Commit installed, ask the acceptor quorum — an accepted value there is a
-   decision the crashed coordinator made durable even though its own journal
-   never saw it. *)
-let quorum_decision (fed : Federation.t) ~gid =
-  match fed.decision_recover with Some read -> read ~gid | None -> None
+(* What is known of [gid]'s decision: the entry's own phase, a decision
+   logged at any coordinator (e.g. the top level decided but the
+   shard-decide push was lost), or — with Paxos Commit installed — what the
+   acceptor quorum accepted, a decision the crashed coordinator made durable
+   even though its own journal never saw it. [None] when all are silent. *)
+let known_decision (fed : Federation.t) ~gid (entry : Federation.journal_entry) =
+  match entry.j_phase with
+  | Federation.Decided d -> Some d
+  | Federation.Executing -> (
+    match Federation.decision fed ~gid with
+    | Some d -> Some d
+    | None -> ( match fed.decision_recover with Some read -> read ~gid | None -> None))
+
+let presumed_abort fed ~gid entry =
+  Option.value ~default:false (known_decision fed ~gid entry)
+
+(* Apply [decision] at [coordinator] and retire [gid]'s entry there. The
+   gid's owner completes the whole transaction: every branch, the action
+   logs, the graph outcome and the journal close. Any other coordinator
+   holds a cross-shard mirror: it pushes the decision to its own sites only
+   and retires just the mirror, since the rest belongs to the top-level
+   coordinator. [log_at], when given, records the decision in that
+   coordinator's stable log. *)
+let resolve (fed : Federation.t) ~(coordinator : Federation.coordinator) ~gid ~entry
+    ~decision ?log_at tally =
+  let owned = Federation.owner fed ~gid == coordinator in
+  let site_ok site = owned || List.mem site coordinator.members in
+  apply fed ~gid ~entry ~decision ~site_ok tally;
+  tally.recovered <- tally.recovered + 1;
+  Option.iter
+    (fun (c : Federation.coordinator) ->
+      Icdb_util.Gid_store.Bool.replace c.decision_log gid decision)
+    log_at;
+  if owned then begin
+    Action_log.remove fed.redo_log ~gid;
+    Action_log.remove fed.undo_log ~gid;
+    Action_log.remove fed.mlt_undo_log ~gid;
+    Serialization_graph.record_outcome fed.graph ~gid ~committed:decision;
+    Federation.journal_close fed ~gid
+  end
+  else Hashtbl.remove coordinator.journal gid
 
 let recover (fed : Federation.t) =
-  let pushed = ref 0 and aborted = ref 0 and redone = ref 0 and undone = ref 0 in
-  let entries = Federation.journal_open_entries fed in
+  let t = tally () in
   List.iter
-    (fun ((gid : int), (entry : Federation.journal_entry)) ->
-      let decision =
-        match entry.j_phase with
-        | Federation.Decided d -> d
-        | Federation.Executing -> (
-          (* a decision forced at any coordinator (e.g. the top level, with
-             the shard-decide push lost) beats the presumption of abort *)
-          match Federation.decision fed ~gid with
-          | Some d -> d
-          | None -> (
-            match quorum_decision fed ~gid with
-            | Some d -> d
-            | None -> false (* presumed abort *)))
-      in
-      resolve_entry fed ~gid ~entry ~decision
-        ~site_ok:(fun _ -> true)
-        ~pushed ~aborted ~redone ~undone;
-      Action_log.remove fed.redo_log ~gid;
-      Action_log.remove fed.undo_log ~gid;
-      Action_log.remove fed.mlt_undo_log ~gid;
-      Serialization_graph.record_outcome fed.graph ~gid ~committed:decision;
-      Federation.journal_close fed ~gid)
-    entries;
-  {
-    entries_recovered = List.length entries;
-    decisions_pushed = !pushed;
-    locals_aborted = !aborted;
-    branches_redone = !redone;
-    branches_undone = !undone;
-  }
+    (fun (gid, entry) ->
+      resolve fed ~coordinator:(Federation.owner fed ~gid) ~gid ~entry
+        ~decision:(presumed_abort fed ~gid entry) t)
+    (Federation.journal_open_entries fed);
+  summary t
 
 (* Restart recovery of one shard coordinator, independent of the others.
 
@@ -194,61 +213,25 @@ let recover (fed : Federation.t) =
      retired. No top decision yet means the transaction is in doubt at this
      shard — it stays open for the top-level coordinator to finish (its
      close retires the mirror), which is the blocking window atomic
-     commitment cannot avoid. *)
+     commitment cannot avoid.
+
+   Either way the shard learns (and keeps) the decision it applied. *)
 let recover_shard (fed : Federation.t) ~shard =
   if shard < 0 || shard >= Array.length fed.shards then
     invalid_arg "Central_recovery.recover_shard";
-  let sh = fed.shards.(shard) in
-  let pushed = ref 0 and aborted = ref 0 and redone = ref 0 and undone = ref 0 in
-  let entries =
-    Hashtbl.fold (fun gid e acc -> (gid, e) :: acc) sh.sh_journal []
-    |> List.sort compare
-  in
-  let recovered = ref 0 in
-  List.iter
-    (fun ((gid : int), (entry : Federation.journal_entry)) ->
-      let local = match Federation.route fed gid with Some [| _ |] -> true | _ -> false in
-      let decision =
-        match entry.j_phase with
-        | Federation.Decided d -> Some d
-        | Federation.Executing ->
-          let logged =
-            match Federation.decision fed ~gid with
-            | Some d -> Some d
-            | None -> quorum_decision fed ~gid
-          in
-          if local then Some (Option.value ~default:false logged) else logged
-      in
-      match decision with
-      | None -> () (* cross-shard, in doubt: wait for the top level *)
-      | Some d ->
-        incr recovered;
-        let site_ok site =
-          local || List.mem site sh.sh_sites
-        in
-        resolve_entry fed ~gid ~entry ~decision:d ~site_ok ~pushed ~aborted ~redone
-          ~undone;
-        (* the shard learns (and keeps) the decision it just applied *)
-        Icdb_util.Gid_store.Bool.replace sh.sh_decision_log gid d;
-        if local then begin
-          Action_log.remove fed.redo_log ~gid;
-          Action_log.remove fed.undo_log ~gid;
-          Action_log.remove fed.mlt_undo_log ~gid;
-          Serialization_graph.record_outcome fed.graph ~gid ~committed:d;
-          Federation.journal_close fed ~gid
-        end
-        else
-          (* retire only this shard's mirror; the top-level entry, action
-             logs and graph outcome belong to the top-level coordinator *)
-          Hashtbl.remove sh.sh_journal gid)
-    entries;
-  {
-    entries_recovered = !recovered;
-    decisions_pushed = !pushed;
-    locals_aborted = !aborted;
-    branches_redone = !redone;
-    branches_undone = !undone;
-  }
+  let c = fed.shards.(shard) in
+  let t = tally () in
+  Hashtbl.fold (fun gid e acc -> (gid, e) :: acc) c.journal []
+  |> List.sort compare
+  |> List.iter (fun (gid, entry) ->
+         let decision =
+           if Federation.owner fed ~gid == c then Some (presumed_abort fed ~gid entry)
+           else known_decision fed ~gid entry
+         in
+         Option.iter
+           (fun decision -> resolve fed ~coordinator:c ~gid ~entry ~decision ~log_at:c t)
+           decision);
+  summary t
 
 (* Completion of ONE in-doubt transaction by a freshly elected Paxos leader,
    without waiting for the crashed coordinator's full restart recovery. The
@@ -256,35 +239,13 @@ let recover_shard (fed : Federation.t) ~shard =
    by the time this runs the decision is durable at the acceptor quorum and
    {!Federation.t.decision_recover} can read it back. Everything below is
    the per-entry tail of {!recover}, restricted to [gid]; marker guards make
-   it idempotent and safe to race a later whole-federation [recover]. *)
+   it idempotent and safe to race a later whole-federation [recover]. The
+   decision is recorded in the central log, also for a fast-path gid. *)
 let takeover (fed : Federation.t) ~gid =
-  let entry_opt =
-    match Federation.route fed gid with
-    | Some [| s |] -> Hashtbl.find_opt fed.shards.(s).sh_journal gid
-    | Some _ | None -> Hashtbl.find_opt fed.journal gid
-  in
-  match entry_opt with
+  let coordinator = Federation.owner fed ~gid in
+  match Hashtbl.find_opt coordinator.journal gid with
   | None -> false (* already closed: nothing was in doubt *)
   | Some entry ->
-    let decision =
-      match entry.j_phase with
-      | Federation.Decided d -> d
-      | Federation.Executing -> (
-        match Federation.decision fed ~gid with
-        | Some d -> d
-        | None -> (
-          match quorum_decision fed ~gid with
-          | Some d -> d
-          | None -> false (* presumed abort, as [recover] would *)))
-    in
-    let pushed = ref 0 and aborted = ref 0 and redone = ref 0 and undone = ref 0 in
-    resolve_entry fed ~gid ~entry ~decision
-      ~site_ok:(fun _ -> true)
-      ~pushed ~aborted ~redone ~undone;
-    Action_log.remove fed.redo_log ~gid;
-    Action_log.remove fed.undo_log ~gid;
-    Action_log.remove fed.mlt_undo_log ~gid;
-    Federation.log_decision fed ~gid ~commit:decision;
-    Serialization_graph.record_outcome fed.graph ~gid ~committed:decision;
-    Federation.journal_close fed ~gid;
+    resolve fed ~coordinator ~gid ~entry ~decision:(presumed_abort fed ~gid entry)
+      ~log_at:fed.central (tally ());
     true

@@ -1,13 +1,22 @@
-(** Recovery of the {e central} system.
+(** Recovery of the {e central} system and of the shard coordinators.
 
     The paper assumes the global transaction manager survives; this module
-    answers the obvious follow-up — what if it does not? The central
-    system's stable state is the decision log, the per-transaction protocol
-    {!Federation.journal}, and the redo-/undo-logs. Its volatile state —
-    the additional CC module's lock table, the L1 lock table, and every
-    in-flight protocol fiber — is lost by {!crash}.
+    answers the obvious follow-up — what if it does not? A coordinator's
+    stable state ({!Federation.coordinator}) is its decision log and its
+    per-transaction protocol journal, beside the federation's redo-/undo-
+    logs. Its volatile state — the additional CC module's lock table, the L1
+    lock table, and every in-flight protocol fiber — is lost by {!crash}.
 
-    {!recover} then completes every journaled transaction:
+    Every entry point derives an in-doubt decision the same way — the
+    entry's [Decided] phase, else a decision logged at any coordinator,
+    else (with Paxos Commit) the acceptor quorum's — and completes it with
+    one resolve step at a coordinator: the gid's {!Federation.owner}
+    pushes the decision to every branch and closes the transaction, a
+    shard coordinator holding a cross-shard mirror pushes it to its own
+    sites and retires only the mirror. What differs is the caller's policy
+    when nothing is known: presume abort, or leave a mirror in doubt.
+
+    {!recover} completes every journaled transaction:
 
     - entries still [Executing] are {b presumed aborted} (no decision was
       ever logged, so no site can have been told to commit … except
@@ -31,14 +40,15 @@ type summary = {
 
 val pp_summary : Format.formatter -> summary -> unit
 
-(** [crash fed] discards the central system's volatile state: both central
-    lock tables are reset (blocked requesters are woken with
-    [Lock_revoked]), and in a sharded federation every shard coordinator's
-    CC/L1 tables with them (a whole-federation crash subsumes the shard
-    coordinators). In-flight protocol fibers are {e not} magically
-    stopped — simulate the crash of their control flow by installing a
-    raising [fed.central_fail] hook. For a crash of {e one} shard
-    coordinator use {!Federation.shard_crash} + {!recover_shard}. *)
+(** [crash fed] discards the central system's volatile state:
+    {!Federation.crash} on every coordinator, so both central lock tables
+    are reset (blocked requesters are woken with [Lock_revoked]) and, in a
+    sharded federation, every shard coordinator's CC/L1 tables with them (a
+    whole-federation crash subsumes the shard coordinators). In-flight
+    protocol fibers are {e not} magically stopped — simulate the crash of
+    their control flow by installing a raising [fed.central_fail] hook. For
+    a crash of {e one} shard coordinator use {!Federation.crash} on it, then
+    {!recover_shard}. *)
 val crash : Federation.t -> unit
 
 (** [recover fed] walks the journal — top-level and every shard journal,
@@ -55,14 +65,16 @@ val recover : Federation.t -> summary
     journal are handled by kind:
 
     - single-shard transactions (the fast path — this coordinator is their
-      only coordinator) are completed exactly as {!recover} would: decided
-      entries pushed, [Executing] ones presumed aborted;
+      owner) are completed exactly as {!recover} would: decided entries
+      pushed, [Executing] ones presumed aborted;
     - mirrors of cross-shard transactions defer to the top-level decision
       log: a recorded decision (the crash hit between the top-level force
       and this shard's ack) is pushed to {e this shard's branches only} and
       the mirror retired; without one the entry stays open, in doubt, until
       the top-level coordinator finishes — the blocking window atomic
       commitment cannot avoid.
+
+    Either way the shard records the decision it applied in its own log.
 
     [summary.entries_recovered] counts entries completed here, excluding
     in-doubt mirrors left open. Idempotent, and safe to interleave with
@@ -72,8 +84,9 @@ val recover_shard : Federation.t -> shard:int -> summary
 (** [takeover fed ~gid] completes one in-doubt transaction as a freshly
     elected Paxos leader would: decision from the journal phase, the
     decision logs, or the acceptor quorum ([fed.decision_recover]) — abort
-    presumed only when all three are silent — then the entry is resolved,
-    logged and closed exactly as {!recover} does per entry. Returns [false]
-    (and does nothing) when the entry is already closed. Must run in a
-    fiber; idempotent and safe to race a later {!recover}. *)
+    presumed only when all three are silent — then the entry is resolved
+    and closed at its owner exactly as {!recover} does per entry, and the
+    decision recorded in the central log (also for a fast-path gid).
+    Returns [false] (and does nothing) when the entry is already closed.
+    Must run in a fiber; idempotent and safe to race a later {!recover}. *)
 val takeover : Federation.t -> gid:int -> bool

@@ -79,7 +79,7 @@ let run ?(action_retries = 0) (fed : Federation.t) (spec : Global.mlt_spec) =
           (* the L1 manager responsible for the action's site — the owning
              shard coordinator's in a sharded federation, central otherwise *)
           Lock.acquire
-            (Federation.l1_table fed ~site:action.Action.site)
+            (Federation.site_coordinator fed ~site:action.Action.site).l1
             ~owner:gid
             ~obj:(Federation.intern fed (Action.l1_object action))
             ~mode:action.Action.clazz ?timeout:fed.global_lock_timeout ()
@@ -134,5 +134,5 @@ let run ?(action_retries = 0) (fed : Federation.t) (spec : Global.mlt_spec) =
   in
   Action_log.remove fed.mlt_undo_log ~gid;
   Federation.journal_close fed ~gid;
-  Federation.release_l1_owner fed ~gid;
+  Federation.release_owner fed ~gid (fun c -> c.l1);
   finish fed ~gid ~start ~obs outcome

@@ -31,29 +31,26 @@ type journal_event =
   | J_decided of { gid : int; commit : bool }
   | J_closed of int
 
-(* One shard of a sharded federation: a contiguous group of sites whose
-   first member doubles as the shard coordinator. The shard coordinator
-   keeps its own stable journal and decision log (the L1 transaction
-   manager of the paper's two-level split, acting as L0 coordinator for
-   transactions confined to its shard) plus its own volatile CC state, so
-   a shard-coordinator crash loses exactly this shard's lock tables and
-   recovery can run per shard. *)
-type shard = {
-  sh_id : int;
-  sh_name : string;  (* "shard-<id>": metric label and trace actor *)
-  sh_coord : string;  (* coordinator site name (first member) *)
-  sh_sites : string list;
-  sh_journal : (int, journal_entry) Hashtbl.t;
-  sh_decision_log : Gid_store.Bool.t;
-  sh_cc : Mode.t Lock.t;
-  sh_l1 : Conflict.clazz Lock.t;
-  mutable sh_forces : int;
-  mutable sh_decisions : int;
-  mutable sh_cgc_waiters : unit Fiber.resumer list;
-  mutable sh_cgc_scheduled : bool;
-  mutable sh_busy_until : float;  (* shard decision-log device (serial) *)
-  sh_decided_c : Registry.counter;
-  sh_forces_c : Registry.counter;
+(* One coordinator: the central system of Fig. 1, or a shard coordinator.
+   Each keeps its own stable journal and decision log, its own volatile CC
+   module and L1 lock manager, and its own serial decision-log device. A
+   shard coordinator is the L1 transaction manager of the paper's two-level
+   split, acting as L0 coordinator for the transactions confined to its
+   shard; a crash of one coordinator loses exactly its lock tables. *)
+type coordinator = {
+  name : string;  (* "central" or "shard-<i>": trace actor, metric label *)
+  members : string list;  (* its sites in creation order; the first hosts it *)
+  journal : (int, journal_entry) Hashtbl.t;
+  decision_log : Gid_store.Bool.t;
+  cc : Mode.t Lock.t;
+  l1 : Conflict.clazz Lock.t;
+  mutable busy_until : float;  (* serial decision-log device *)
+  mutable gc_waiters : unit Fiber.resumer list;
+  mutable gc_scheduled : bool;
+  mutable decisions : int;
+  mutable forces : int;  (* group-commit forces *)
+  on_decision : unit -> unit;
+  on_force : unit -> unit;
 }
 
 type t = {
@@ -67,14 +64,10 @@ type t = {
   registry : Registry.t;
   tracer : Tracer.t;
   metrics : Metrics.t;
-  global_cc : Mode.t Lock.t;
   conflict : Conflict.t;
-  l1_locks : Conflict.clazz Lock.t;
   redo_log : Action_log.t;
   undo_log : Action_log.t;
   mlt_undo_log : Action_log.t;
-  decision_log : Gid_store.Bool.t;
-  journal : (int, journal_entry) Hashtbl.t;
   graph : Serialization_graph.t;
   mutable next_gid : int;
   mutable global_cc_enabled : bool;
@@ -83,16 +76,12 @@ type t = {
   global_lock_timeout : float option;
   batchers : Batcher.t Strtbl.t;
   central_gc_window : float option;
-  mutable cgc_waiters : unit Fiber.resumer list;
-  mutable cgc_scheduled : bool;
-  mutable central_forces : int;
-  mutable central_decisions : int;
-  mutable central_force_hook : unit -> unit;
   (* protocol name -> per-phase [icdb_phase_time] histogram handles, filled
      lazily per slot so exactly the instruments the run uses exist — the
      hot path then skips the registry's per-call label-key allocation *)
   phase_hists : Registry.histogram option array Strtbl.t;
-  shards : shard array;  (* [||] = unsharded: every path below is untouched *)
+  central : coordinator;
+  shards : coordinator array;  (* [||] = unsharded: every gid routes to [central] *)
   shard_of_site : int Strtbl.t;
   gid_route : int array Gid_store.t;
       (* gid -> sorted participating shard ids; a singleton routes the whole
@@ -102,7 +91,6 @@ type t = {
   decision_force_time : float option;
       (* service time of one decision-log force on its serial device; [None]
          models the force as instantaneous (the pre-sharding behavior) *)
-  mutable central_busy_until : float;
   mutable decision_replicator : (gid:int -> commit:bool -> unit) option;
       (* Paxos Commit hook: when installed, [journal_decide] makes the
          decision durable by replicating it to the acceptor quorum instead
@@ -262,16 +250,15 @@ let observe_site t site_name site =
 
 let install_observability t =
   List.iter (fun (name, site) -> observe_site t name site) t.sites;
-  Lock.set_observer t.global_cc (lock_handler t ~table:"global-cc" ~names:t.syms);
-  Lock.set_observer t.l1_locks (lock_handler t ~table:"l1" ~names:t.syms);
-  (* Per-shard CC modules get their own table label, so lock metrics split
+  let observe_tables c ~cc ~l1 =
+    Lock.set_observer c.cc (lock_handler t ~table:cc ~names:t.syms);
+    Lock.set_observer c.l1 (lock_handler t ~table:l1 ~names:t.syms)
+  in
+  observe_tables t.central ~cc:"global-cc" ~l1:"l1";
+  (* Shard coordinators get their own table labels, so lock metrics split
      by shard; unsharded federations have no shards and add no metrics. *)
   Array.iter
-    (fun sh ->
-      Lock.set_observer sh.sh_cc
-        (lock_handler t ~table:(sh.sh_name ^ "-cc") ~names:t.syms);
-      Lock.set_observer sh.sh_l1
-        (lock_handler t ~table:(sh.sh_name ^ "-l1") ~names:t.syms))
+    (fun c -> observe_tables c ~cc:(c.name ^ "-cc") ~l1:(c.name ^ "-l1"))
     t.shards;
   let sim_events = Registry.counter t.registry "icdb_sim_events_total" in
   Sim.set_observer t.engine (fun () -> Registry.inc sim_events)
@@ -282,6 +269,25 @@ let install_observability t =
 let normalize_window = function
   | Some w when w > 0.0 -> Some w
   | Some _ | None -> None
+
+let coordinator engine ~syms ~conflict ~name ~members ~on_decision ~on_force =
+  {
+    name;
+    members;
+    journal = Hashtbl.create 64;
+    decision_log = Gid_store.Bool.create ();
+    cc = Lock.create engine ~syms ~compatible:Mode.compatible ~combine:Mode.combine;
+    l1 =
+      Lock.create engine ~syms ~compatible:(Conflict.compatible conflict)
+        ~combine:(Conflict.combine conflict);
+    busy_until = 0.0;
+    gc_waiters = [];
+    gc_scheduled = false;
+    decisions = 0;
+    forces = 0;
+    on_decision;
+    on_force;
+  }
 
 let create engine ?(latency = 1.0) ?(loss = 0.0)
     ?(global_lock_timeout = Some 200.0) ?(conflict = default_conflict)
@@ -314,48 +320,46 @@ let create engine ?(latency = 1.0) ?(loss = 0.0)
   (* The L1 lock manager's compatibility checks run per acquisition; give
      the federation its own memoizing instance of the relation. *)
   let conflict = Conflict.memoized conflict in
+  let coordinator = coordinator engine ~syms ~conflict in
+  (* The central system's forces are counted and traced only with group
+     commit on, so default-config snapshots keep their metric set. *)
+  let central_on_force =
+    match central_gc_window with
+    | None -> ignore
+    | Some _ ->
+      let forces =
+        Registry.counter registry ~labels:[ ("site", "central") ]
+          "icdb_central_decision_forces_total"
+      in
+      let wal_kind = Span.Wal_force { site = "central" } in
+      fun () ->
+        Registry.inc forces;
+        Tracer.instant tracer ~actor:"central" wal_kind
+  in
+  let names = List.map fst sites in
+  let central =
+    coordinator ~name:"central" ~members:names ~on_decision:ignore
+      ~on_force:central_on_force
+  in
   (* Shard layout: contiguous balanced blocks of sites in creation order
      (site i -> shard i*S/n), first member of each block is the shard
-     coordinator. [shards = 1] builds nothing at all — the sharded code
-     paths below are all behind [Array.length t.shards > 0], so unsharded
-     federations take exactly the pre-sharding code. *)
+     coordinator. [shards = 1] builds none, and every gid routes to the
+     central system. *)
   let shard_of_site = Strtbl.create 16 in
   let shards_arr =
     if shards <= 1 then [||]
     else begin
-      let names = Array.of_list (List.map (fun (c : Db.config) -> c.site_name) configs) in
-      let n = Array.length names in
-      Array.iteri (fun i name -> Strtbl.replace shard_of_site name (i * shards / n)) names;
+      let n = List.length names in
+      List.iteri (fun i name -> Strtbl.replace shard_of_site name (i * shards / n)) names;
       Array.init shards (fun s ->
-          let members =
-            Array.to_list names
-            |> List.filteri (fun i _ -> i * shards / n = s)
-          in
-          let sh_name = "shard-" ^ string_of_int s in
-          {
-            sh_id = s;
-            sh_name;
-            sh_coord = List.hd members;
-            sh_sites = members;
-            sh_journal = Hashtbl.create 64;
-            sh_decision_log = Gid_store.Bool.create ();
-            sh_cc =
-              Lock.create engine ~syms ~compatible:Mode.compatible ~combine:Mode.combine;
-            sh_l1 =
-              Lock.create engine ~syms ~compatible:(Conflict.compatible conflict)
-                ~combine:(Conflict.combine conflict);
-            sh_forces = 0;
-            sh_decisions = 0;
-            sh_cgc_waiters = [];
-            sh_cgc_scheduled = false;
-            sh_busy_until = 0.0;
-            sh_decided_c =
-              Registry.counter registry ~labels:[ ("shard", sh_name) ]
-                "icdb_shard_decisions_total";
-            sh_forces_c =
-              Registry.counter registry ~labels:[ ("shard", sh_name) ]
-                "icdb_shard_decision_forces_total";
-          })
+          let name = "shard-" ^ string_of_int s in
+          let counter = Registry.counter registry ~labels:[ ("shard", name) ] in
+          let decided = counter "icdb_shard_decisions_total" in
+          let forced = counter "icdb_shard_decision_forces_total" in
+          coordinator ~name
+            ~members:(List.filteri (fun i _ -> i * shards / n = s) names)
+            ~on_decision:(fun () -> Registry.inc decided)
+            ~on_force:(fun () -> Registry.inc forced))
     end
   in
   let t =
@@ -369,16 +373,10 @@ let create engine ?(latency = 1.0) ?(loss = 0.0)
       registry;
       tracer;
       metrics;
-      global_cc = Lock.create engine ~syms ~compatible:Mode.compatible ~combine:Mode.combine;
       conflict;
-      l1_locks =
-        Lock.create engine ~syms ~compatible:(Conflict.compatible conflict)
-          ~combine:(Conflict.combine conflict);
       redo_log = Action_log.create ();
       undo_log = Action_log.create ();
       mlt_undo_log = Action_log.create ();
-      decision_log = Gid_store.Bool.create ();
-      journal = Hashtbl.create 64;
       graph = Serialization_graph.create ();
       next_gid = 0;
       global_cc_enabled = true;
@@ -387,17 +385,12 @@ let create engine ?(latency = 1.0) ?(loss = 0.0)
       global_lock_timeout;
       batchers = Strtbl.create 16;
       central_gc_window;
-      cgc_waiters = [];
-      cgc_scheduled = false;
-      central_forces = 0;
-      central_decisions = 0;
-      central_force_hook = ignore;
       phase_hists = Strtbl.create 8;
+      central;
       shards = shards_arr;
       shard_of_site;
       gid_route = Gid_store.create ();
       decision_force_time;
-      central_busy_until = 0.0;
       decision_replicator = None;
       decision_recover = None;
       leader_failover = (fun ~gid:_ -> ());
@@ -420,18 +413,6 @@ let create engine ?(latency = 1.0) ?(loss = 0.0)
         Batcher.set_observer b (fun n -> Registry.observe h (float_of_int n));
         Strtbl.replace t.batchers name b)
       t.sites);
-  (match central_gc_window with
-  | None -> ()
-  | Some _ ->
-    let forces =
-      Registry.counter registry ~labels:[ ("site", "central") ]
-        "icdb_central_decision_forces_total"
-    in
-    let wal_kind = Span.Wal_force { site = "central" } in
-    t.central_force_hook <-
-      (fun () ->
-        Registry.inc forces;
-        Tracer.instant tracer ~actor:"central" wal_kind));
   t
 
 let site t name =
@@ -474,170 +455,135 @@ let fresh_gid t =
   t.next_gid <- t.next_gid + 1;
   t.next_gid
 
-let log_decision t ~gid ~commit = Gid_store.Bool.replace t.decision_log gid commit
+let iter_coordinators t f =
+  f t.central;
+  Array.iter f t.shards
 
-let sharded t = Array.length t.shards > 0
+let sum_coordinators t f = Array.fold_left (fun acc c -> acc + f c) (f t.central) t.shards
 
 (* The participating shard ids a gid was opened with (sorted), or [None]
    when the federation is unsharded / the gid was opened without sites. *)
 let route t gid = Gid_store.find_opt t.gid_route gid
 
+(* The one place a route picks a coordinator: the shard on the single-shard
+   fast path, the central system for a top-level transaction or no route. *)
+let owner t ~gid =
+  match route t gid with
+  | Some [| s |] -> t.shards.(s)
+  | Some _ | None -> t.central
+
+(* The shard coordinators holding a mirror of a top-level transaction's
+   entry; none for a gid one coordinator owns outright. *)
+let mirrors t gid =
+  match route t gid with
+  | Some r when Array.length r > 1 -> r
+  | Some _ | None -> [||]
+
+let site_coordinator t ~site =
+  match Strtbl.find_opt t.shard_of_site site with
+  | Some s -> t.shards.(s)
+  | None -> t.central
+
+(* A decision is a decision no matter which coordinator logged it. *)
 let decision t ~gid =
-  match Gid_store.Bool.find_opt t.decision_log gid with
-  | Some d -> Some d
+  let logged c = Gid_store.Bool.find_opt c.decision_log gid in
+  match logged t.central with
+  | Some _ as d -> d
   | None ->
-    let n = Array.length t.shards in
-    let rec scan i =
-      if i >= n then None
-      else
-        match Gid_store.Bool.find_opt t.shards.(i).sh_decision_log gid with
-        | Some d -> Some d
-        | None -> scan (i + 1)
-    in
-    scan 0
+    Array.fold_left (fun d c -> if Option.is_some d then d else logged c) None t.shards
 
 let decision_log_size t =
-  Array.fold_left
-    (fun acc sh -> acc + Gid_store.Bool.length sh.sh_decision_log)
-    (Gid_store.Bool.length t.decision_log)
-    t.shards
+  sum_coordinators t (fun c -> Gid_store.Bool.length c.decision_log)
+
+(* The distinct shards owning [sites], in any order. A plain recursion, so
+   an unsharded federation (every lookup [None]) allocates nothing per
+   transaction. *)
+let rec shards_of t acc = function
+  | [] -> acc
+  | site :: rest -> (
+    match Strtbl.find_opt t.shard_of_site site with
+    | Some s when not (List.mem s acc) -> shards_of t (s :: acc) rest
+    | Some _ | None -> shards_of t acc rest)
 
 let journal_open_routed t ~sites ~gid ~protocol =
   let entry () = { j_protocol = protocol; j_branches = []; j_phase = Executing } in
-  if not (sharded t) then Hashtbl.replace t.journal gid (entry ())
-  else begin
-    let route =
-      List.filter_map (Strtbl.find_opt t.shard_of_site) sites
-      |> List.sort_uniq compare |> Array.of_list
-    in
-    match route with
-    (* no recognizable member sites: the central system coordinates, as it
-       would have before sharding *)
-    | [||] -> Hashtbl.replace t.journal gid (entry ())
-    | [| s |] ->
-      (* single-shard fast path: the journal entry lives at the shard
-         coordinator only — no top-level state at all *)
-      Gid_store.replace t.gid_route gid route;
-      Hashtbl.replace t.shards.(s).sh_journal gid (entry ())
-    | multi ->
-      (* top-level transaction: a top entry plus one mirror per shard, each
-         holding that shard's branches (what the shard coordinator would
-         know as an L1 participant) *)
-      Gid_store.replace t.gid_route gid route;
-      Hashtbl.replace t.journal gid (entry ());
-      Array.iter (fun s -> Hashtbl.replace t.shards.(s).sh_journal gid (entry ())) multi
-  end;
+  (* no site with a shard: no route, so [central] coordinates *)
+  (match shards_of t [] sites with
+  | [] -> ()
+  | shards ->
+    Gid_store.replace t.gid_route gid (Array.of_list (List.sort compare shards)));
+  (* the owner's entry, plus a mirror at each shard of a top-level
+     transaction holding that shard's branches (what the shard coordinator
+     knows as an L1 participant) *)
+  Hashtbl.replace (owner t ~gid).journal gid (entry ());
+  let mirrors = mirrors t gid in
+  if Array.length mirrors > 0 then
+    Array.iter (fun s -> Hashtbl.replace t.shards.(s).journal gid (entry ())) mirrors;
   t.journal_hook (J_opened gid)
 
 (* Legacy entry point: central coordinates (no route), exactly as before
    sharding existed. Tests and hand-built transactions use it. *)
 let journal_open t ~gid ~protocol = journal_open_routed t ~sites:[] ~gid ~protocol
 
-let journal_find t gid =
-  match Hashtbl.find_opt t.journal gid with
+let journal_find c gid =
+  match Hashtbl.find_opt c.journal gid with
   | Some entry -> entry
   | None -> failwith "Federation: no journal entry for this transaction"
 
+let add_branch entry branch = entry.j_branches <- entry.j_branches @ [ branch ]
+
 let journal_branch t ~gid ~site ~txn_id =
-  match route t gid with
-  | None ->
-    let entry = journal_find t gid in
-    entry.j_branches <- entry.j_branches @ [ (site, txn_id) ]
-  | Some [| s |] -> (
-    match Hashtbl.find_opt t.shards.(s).sh_journal gid with
-    | Some entry -> entry.j_branches <- entry.j_branches @ [ (site, txn_id) ]
-    | None -> failwith "Federation: no shard journal entry for this transaction")
-  | Some _ ->
-    let entry = journal_find t gid in
-    entry.j_branches <- entry.j_branches @ [ (site, txn_id) ];
-    (match Strtbl.find_opt t.shard_of_site site with
-    | Some s -> (
-      match Hashtbl.find_opt t.shards.(s).sh_journal gid with
-      | Some mirror -> mirror.j_branches <- mirror.j_branches @ [ (site, txn_id) ]
-      | None -> ())
-    | None -> ())
+  add_branch (journal_find (owner t ~gid) gid) (site, txn_id);
+  (* a top-level transaction also records the branch in its shard's mirror *)
+  if Array.length (mirrors t gid) > 0 then
+    match Strtbl.find_opt t.shard_of_site site with
+    | Some s ->
+      Option.iter
+        (fun m -> add_branch m (site, txn_id))
+        (Hashtbl.find_opt t.shards.(s).journal gid)
+    | None -> ()
 
 (* The decision log as a serial device: forces queue behind each other and
    each occupies the log head for [decision_force_time]. [None] keeps the
    pre-sharding model of an instantaneous force. The device state is one
-   [busy_until] watermark per coordinator (central + each shard), so S
-   shards really are S independent log heads — the resource the sharding
-   experiment varies. *)
-let serial_force t ~get ~set =
-  match t.decision_force_time with
-  | None -> ()
-  | Some ft ->
-    let now = Sim.now t.engine in
-    let start = if get () > now then get () else now in
-    let fin = start +. ft in
-    set fin;
-    Fiber.sleep t.engine (fin -. now)
+   [busy_until] watermark per coordinator, so S shards really are S
+   independent log heads — the resource the sharding experiment varies.
 
-(* Group commit for the central decision log: every decision made within one
-   [central_gc_window] shares a single log force. The caller (always a
-   protocol fiber) blocks until the shared force completes, so when
-   [journal_decide] returns the decision is durable — same contract as
-   today's instantaneous write, just paid for in one force per window
-   instead of one per decision. Disabled ([None]): the force costs
-   [decision_force_time] on the central log device (zero cost, zero delay
-   when that is [None] too — the pre-sharding default). *)
-let force_decision t =
+   Group commit ([central_gc_window]): every decision made at [c] within
+   one window shares a single log force. The caller (always a protocol
+   fiber) blocks until the shared force completes, so on return the
+   decision is durable either way. *)
+let force t c =
   match t.central_gc_window with
-  | None ->
-    serial_force t
-      ~get:(fun () -> t.central_busy_until)
-      ~set:(fun v -> t.central_busy_until <- v)
+  | None -> (
+    match t.decision_force_time with
+    | None -> ()
+    | Some ft ->
+      let now = Sim.now t.engine in
+      let start = if c.busy_until > now then c.busy_until else now in
+      c.busy_until <- start +. ft;
+      Fiber.sleep t.engine (c.busy_until -. now))
   | Some window ->
     Fiber.await (fun resumer ->
-        t.cgc_waiters <- resumer :: t.cgc_waiters;
-        if not t.cgc_scheduled then begin
-          t.cgc_scheduled <- true;
+        c.gc_waiters <- resumer :: c.gc_waiters;
+        if not c.gc_scheduled then begin
+          c.gc_scheduled <- true;
           ignore
             (Sim.schedule t.engine ~delay:window (fun () ->
-                 let waiters = List.rev t.cgc_waiters in
-                 t.cgc_waiters <- [];
-                 t.cgc_scheduled <- false;
-                 t.central_forces <- t.central_forces + 1;
-                 t.central_force_hook ();
+                 let waiters = List.rev c.gc_waiters in
+                 c.gc_waiters <- [];
+                 c.gc_scheduled <- false;
+                 c.forces <- c.forces + 1;
+                 c.on_force ();
                  List.iter (fun r -> r (Ok ())) waiters))
         end)
 
-(* Same contract per shard: group commit when the window is on, otherwise
-   the shard's own serial log device. *)
-let shard_force t sh =
-  match t.central_gc_window with
-  | None ->
-    serial_force t
-      ~get:(fun () -> sh.sh_busy_until)
-      ~set:(fun v -> sh.sh_busy_until <- v)
-  | Some window ->
-    Fiber.await (fun resumer ->
-        sh.sh_cgc_waiters <- resumer :: sh.sh_cgc_waiters;
-        if not sh.sh_cgc_scheduled then begin
-          sh.sh_cgc_scheduled <- true;
-          ignore
-            (Sim.schedule t.engine ~delay:window (fun () ->
-                 let waiters = List.rev sh.sh_cgc_waiters in
-                 sh.sh_cgc_waiters <- [];
-                 sh.sh_cgc_scheduled <- false;
-                 sh.sh_forces <- sh.sh_forces + 1;
-                 Registry.inc sh.sh_forces_c;
-                 List.iter (fun r -> r (Ok ())) waiters))
-        end)
-
-(* Record a decision at one shard coordinator: mirror entry (if any) flips
-   to [Decided] and the shard's stable decision log and counters advance.
-   Runs at the coordinator — callers reach it through
-   {!shard_decide_round}'s RPC for top-level transactions, or directly (no
-   wire hop) for the shard's own transactions; both force the shard log
-   afterwards. *)
-let shard_record_decision _t sh ~gid ~commit =
-  (match Hashtbl.find_opt sh.sh_journal gid with
-  | Some entry -> entry.j_phase <- Decided commit
-  | None -> ());
-  Gid_store.Bool.replace sh.sh_decision_log gid commit;
-  sh.sh_decisions <- sh.sh_decisions + 1;
-  Registry.inc sh.sh_decided_c
+(* Record a decision in one coordinator's stable log and advance its
+   counters. *)
+let log_decision c ~gid ~commit =
+  Gid_store.Bool.replace c.decision_log gid commit;
+  c.decisions <- c.decisions + 1;
+  c.on_decision ()
 
 (* The top-level decision round of a cross-shard transaction: the central
    system pushes the (already durable) decision to every participating shard
@@ -650,57 +596,42 @@ let shard_decide_round t ~gid ~commit route =
     (Fiber.all t.engine
        (List.map
           (fun s ->
-            let sh = t.shards.(s) in
-            let coord = Strtbl.find t.by_name sh.sh_coord in
+            let c = t.shards.(s) in
+            let host = Strtbl.find t.by_name (List.hd c.members) in
             fun () ->
               try
-                Link.rpc ~gid (Site.link coord) ~label:"shard-decide" (fun () ->
-                    shard_record_decision t sh ~gid ~commit;
-                    shard_force t sh;
+                Link.rpc ~gid (Site.link host) ~label:"shard-decide" (fun () ->
+                    (* the mirror is gone once shard recovery retired it *)
+                    Option.iter
+                      (fun e -> e.j_phase <- Decided commit)
+                      (Hashtbl.find_opt c.journal gid);
+                    log_decision c ~gid ~commit;
+                    force t c;
                     ("shard-decided", ()))
               with Link.Unreachable _ -> ())
           (Array.to_list route)))
 
-(* Durability step for a freshly recorded decision: the coordinator's own
-   log force by default, or — with Paxos Commit installed — an accept round
-   over the acceptor quorum (the coordinator's log is then just a cache and
-   never forced). *)
-let make_durable t ~gid ~commit ~force =
-  match t.decision_replicator with
-  | Some replicate -> replicate ~gid ~commit
-  | None -> force ()
-
+(* Decided and made durable at the gid's owner: the coordinator's own log
+   force by default, or — with Paxos Commit installed — an accept round over
+   the acceptor quorum (the coordinator's log is then just a cache and never
+   forced). A top-level decision then runs the shard-decide round; the
+   single-shard fast path has no top-level write, force or message. *)
 let journal_decide t ~gid ~commit =
-  match route t gid with
-  | Some [| s |] ->
-    (* single-shard fast path: decided and forced entirely at the shard
-       coordinator — no top-level journal write, no top-level force, no
-       top-level message *)
-    let sh = t.shards.(s) in
-    shard_record_decision t sh ~gid ~commit;
-    t.journal_hook (J_decided { gid; commit });
-    make_durable t ~gid ~commit ~force:(fun () -> shard_force t sh)
-  | Some multi ->
-    (journal_find t gid).j_phase <- Decided commit;
-    log_decision t ~gid ~commit;
-    t.central_decisions <- t.central_decisions + 1;
-    t.journal_hook (J_decided { gid; commit });
-    make_durable t ~gid ~commit ~force:(fun () -> force_decision t);
-    shard_decide_round t ~gid ~commit multi
-  | None ->
-    (journal_find t gid).j_phase <- Decided commit;
-    log_decision t ~gid ~commit;
-    t.central_decisions <- t.central_decisions + 1;
-    t.journal_hook (J_decided { gid; commit });
-    make_durable t ~gid ~commit ~force:(fun () -> force_decision t)
+  let c = owner t ~gid in
+  (journal_find c gid).j_phase <- Decided commit;
+  log_decision c ~gid ~commit;
+  t.journal_hook (J_decided { gid; commit });
+  (match t.decision_replicator with
+  | Some replicate -> replicate ~gid ~commit
+  | None -> force t c);
+  let mirrors = mirrors t gid in
+  if Array.length mirrors > 0 then shard_decide_round t ~gid ~commit mirrors
 
 let journal_close t ~gid =
-  (match route t gid with
-  | None -> Hashtbl.remove t.journal gid
-  | Some [| s |] -> Hashtbl.remove t.shards.(s).sh_journal gid
-  | Some multi ->
-    Hashtbl.remove t.journal gid;
-    Array.iter (fun s -> Hashtbl.remove t.shards.(s).sh_journal gid) multi);
+  Hashtbl.remove (owner t ~gid).journal gid;
+  let mirrors = mirrors t gid in
+  if Array.length mirrors > 0 then
+    Array.iter (fun s -> Hashtbl.remove t.shards.(s).journal gid) mirrors;
   Gid_store.remove t.gid_route gid;
   (* The transaction is finished at the coordinator: any receiver-side dedup
      state its wire exchanges left behind (orphans from capped retries) can
@@ -711,15 +642,15 @@ let journal_close t ~gid =
 
 let batcher t name = Strtbl.find_opt t.batchers name
 
-(* Central decision-log forces: with group commit on, the shared forces that
-   actually happened; off, one (conceptual) force per decision — the §5
-   baseline the group-commit numbers are compared against. Under Paxos
-   Commit the central log is never forced at all (durability lives at the
+(* Decision-log forces at one coordinator: with group commit on, the shared
+   forces that actually happened; off, one (conceptual) force per decision —
+   the §5 baseline the group-commit numbers are compared against. Under
+   Paxos Commit no coordinator log is ever forced (durability lives at the
    acceptor quorum; see [Paxos_commit.acceptor_forces]). *)
-let central_log_forces t =
+let log_forces t c =
   if Option.is_some t.decision_replicator then 0
-  else if t.central_gc_window <> None then t.central_forces
-  else t.central_decisions
+  else if t.central_gc_window <> None then c.forces
+  else c.decisions
 
 let batch_envelopes t =
   Strtbl.fold (fun _ b acc -> acc + Batcher.envelope_count b) t.batchers 0
@@ -731,96 +662,32 @@ let batch_occupancy_mean t =
   let envelopes = batch_envelopes t in
   if envelopes = 0 then 0.0 else float_of_int members /. float_of_int envelopes
 
+(* Union over the shard journals and the top journal, one entry per gid;
+   the top entry wins for cross-shard transactions (it has every branch and
+   the authoritative phase, the mirrors only their shard's slice). *)
 let journal_open_entries t =
-  if not (sharded t) then
-    Hashtbl.fold (fun gid entry acc -> (gid, entry) :: acc) t.journal []
-    |> List.sort compare
-  else begin
-    (* union over the shard journals and the top journal, one entry per gid;
-       the top entry wins for cross-shard transactions (it has every branch
-       and the authoritative phase, the mirrors only their shard's slice) *)
-    let merged = Hashtbl.create 32 in
-    Array.iter
-      (fun sh -> Hashtbl.iter (fun gid e -> Hashtbl.replace merged gid e) sh.sh_journal)
-      t.shards;
-    Hashtbl.iter (fun gid e -> Hashtbl.replace merged gid e) t.journal;
-    Hashtbl.fold (fun gid entry acc -> (gid, entry) :: acc) merged []
-    |> List.sort compare
-  end
+  let merged = Hashtbl.create 32 in
+  Array.iter (fun c -> Hashtbl.iter (Hashtbl.replace merged) c.journal) t.shards;
+  Hashtbl.iter (Hashtbl.replace merged) t.central.journal;
+  Hashtbl.fold (fun gid entry acc -> (gid, entry) :: acc) merged [] |> List.sort compare
 
-(* Raw open-entry count across the top journal and every shard journal
-   (cross-shard mirrors counted once per shard they live at) — zero exactly
-   when every journal is empty, which is what the quiescence monitors and
-   drain checks ask. *)
-let total_journal_entries t =
-  Array.fold_left
-    (fun acc sh -> acc + Hashtbl.length sh.sh_journal)
-    (Hashtbl.length t.journal)
-    t.shards
+(* Raw open-entry count across every journal (cross-shard mirrors counted
+   once per shard they live at) — zero exactly when every journal is empty,
+   which is what the quiescence monitors and drain checks ask. *)
+let total_journal_entries t = sum_coordinators t (fun c -> Hashtbl.length c.journal)
 
-(* {2 Sharded lock-table routing}
+(* Release everything a global transaction holds in one kind of lock table,
+   wherever it holds it. [release_all] is a no-op per table when the owner
+   holds nothing there. *)
+let release_owner t ~gid table =
+  iter_coordinators t (fun c -> Lock.release_all (table c) ~owner:gid)
 
-   The additional CC module and the L1 lock manager live at the shard
-   coordinator owning the object's site; unsharded federations (and objects
-   at unknown sites) keep the central tables. Lock objects are "site/key"
-   strings, disjoint across shards, so routing changes which volatile table
-   holds an entry — and therefore what a shard-coordinator crash wipes —
-   without changing any grant decision. *)
-
-let shard_for_site t site =
-  if not (sharded t) then None else Strtbl.find_opt t.shard_of_site site
-
-let cc_table t ~site =
-  match shard_for_site t site with
-  | Some s -> t.shards.(s).sh_cc
-  | None -> t.global_cc
-
-let l1_table t ~site =
-  match shard_for_site t site with
-  | Some s -> t.shards.(s).sh_l1
-  | None -> t.l1_locks
-
-(* Release everything a global transaction holds, wherever it holds it.
-   [release_all] is a no-op per table when the owner holds nothing there. *)
-let release_cc_owner t ~gid =
-  Lock.release_all t.global_cc ~owner:gid;
-  Array.iter (fun sh -> Lock.release_all sh.sh_cc ~owner:gid) t.shards
-
-let release_l1_owner t ~gid =
-  Lock.release_all t.l1_locks ~owner:gid;
-  Array.iter (fun sh -> Lock.release_all sh.sh_l1 ~owner:gid) t.shards
-
-(* Trace/span actor for a global transaction's coordinator: the shard
-   coordinator on the single-shard fast path, the central system otherwise
-   (always "central" when unsharded — traces are byte-identical). *)
-let gid_actor t ~gid =
-  match route t gid with
-  | Some [| s |] -> t.shards.(s).sh_name
-  | Some _ | None -> "central"
-
-(* A shard-coordinator crash loses the shard's volatile lock state (its CC
-   module and L1 manager), exactly as {!Central_recovery.crash} models for
-   the central system; the shard's stable journal and decision log survive.
-   Crashing the coordinator {e site} is the caller's separate decision. *)
-let shard_crash t ~shard =
-  let sh = t.shards.(shard) in
-  Lock.reset sh.sh_cc;
-  Lock.reset sh.sh_l1
-
-(* Shard decision-log forces, summed: with group commit on, the shared
-   forces that happened; off, one per shard decision (same convention as
-   {!central_log_forces}, including the Paxos gate: replicated decisions
-   count acceptor forces instead). *)
-let shard_log_forces t =
-  if Option.is_some t.decision_replicator then 0
-  else
-    Array.fold_left
-      (fun acc sh ->
-        acc + (if t.central_gc_window <> None then sh.sh_forces else sh.sh_decisions))
-      0 t.shards
-
-let shard_decisions t =
-  Array.fold_left (fun acc sh -> acc + sh.sh_decisions) 0 t.shards
+(* A coordinator crash loses its volatile lock state (CC module and L1
+   manager); its stable journal and decision log survive. Crashing the
+   coordinator's host site is the caller's separate decision. *)
+let crash c =
+  Lock.reset c.cc;
+  Lock.reset c.l1
 
 let total_messages t =
   List.fold_left (fun acc (_, site) -> acc + Link.message_count (Site.link site)) 0 t.sites

@@ -1,16 +1,18 @@
 (** The integrated database system: central system + local systems (Fig. 1).
 
     A federation bundles everything the global transaction manager needs:
-    the simulated sites with their links, the additional global
-    concurrency-control module (§3.2/§3.3), the L1 lock manager and conflict
-    relation for multi-level transactions (§4), the central redo-/undo-logs,
-    the stable decision log, metrics, the protocol trace and the
-    serialization-graph recorder. *)
+    the simulated sites with their links, the central redo-/undo-logs,
+    metrics, the protocol trace, the serialization-graph recorder, and one
+    or more {!coordinator}s: the central system, plus one shard coordinator
+    per shard in a sharded federation. Each coordinator carries its own
+    stable journal and decision log, additional global concurrency-control
+    module (§3.2/§3.3) and L1 lock manager for multi-level transactions
+    (§4). {!owner} says which coordinator decides a transaction; an
+    unsharded federation has only the central one. *)
 
 (** How far a global transaction's protocol run had progressed, as recorded
-    in the central system's stable journal. Central-crash recovery presumes
-    abort for [Executing] entries and pushes the decision for [Decided]
-    ones. *)
+    in its coordinator's stable journal. Recovery presumes abort for
+    [Executing] entries and pushes the decision for [Decided] ones. *)
 type journal_phase = Executing | Decided of bool
 
 (** One journal entry per in-flight global transaction. [branches] collects
@@ -31,29 +33,34 @@ type journal_event =
   | J_decided of { gid : int; commit : bool }
   | J_closed of int
 
-(** One shard of a sharded federation: a contiguous group of sites whose
-    first member is the shard coordinator. The coordinator keeps the
-    shard's own stable journal and decision log — it is simultaneously an
-    L1 participant of top-level (cross-shard) transactions and the L0
-    coordinator of transactions confined to its shard (the paper's
-    two-level split, one level down). Volatile per-shard lock tables model
-    the CC state a shard-coordinator crash loses. *)
-type shard = {
-  sh_id : int;
-  sh_name : string;  (** "shard-<id>": metric label and trace actor *)
-  sh_coord : string;  (** coordinator site name (first member) *)
-  sh_sites : string list;
-  sh_journal : (int, journal_entry) Hashtbl.t;
-  sh_decision_log : Icdb_util.Gid_store.Bool.t;
-  sh_cc : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
-  sh_l1 : Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t;
-  mutable sh_forces : int;
-  mutable sh_decisions : int;
-  mutable sh_cgc_waiters : unit Icdb_sim.Fiber.resumer list;
-  mutable sh_cgc_scheduled : bool;
-  mutable sh_busy_until : float;
-  sh_decided_c : Icdb_obs.Registry.counter;
-  sh_forces_c : Icdb_obs.Registry.counter;
+(** One coordinator: the central system of Fig. 1, or a shard coordinator
+    of a sharded federation. Each holds its own stable journal and decision
+    log, its own volatile CC module and L1 lock manager, and its own serial
+    decision-log device. A shard coordinator is simultaneously an L1
+    participant of top-level (cross-shard) transactions and the L0
+    coordinator of transactions confined to its shard — the paper's
+    two-level split, one level down. *)
+type coordinator = {
+  name : string;  (** "central" or "shard-<i>": trace actor and metric label *)
+  members : string list;
+      (** its sites in creation order (every site for the central system);
+          the first one hosts the coordinator *)
+  journal : (int, journal_entry) Hashtbl.t;
+      (** stable per-transaction protocol journal, read by recovery *)
+  decision_log : Icdb_util.Gid_store.Bool.t;  (** gid -> decision (stable) *)
+  cc : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
+      (** the additional CC module: strict global 2PL on (site/key) objects
+          of its sites *)
+  l1 : Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t;
+      (** L1 lock manager: commutativity-based compatibility *)
+  mutable busy_until : float;
+      (** when its serial decision-log device is next free *)
+  mutable gc_waiters : unit Icdb_sim.Fiber.resumer list;
+  mutable gc_scheduled : bool;
+  mutable decisions : int;  (** decisions logged here *)
+  mutable forces : int;  (** group-commit forces taken here *)
+  on_decision : unit -> unit;  (** metric side effect of a logged decision *)
+  on_force : unit -> unit;  (** metric and trace side effect of a group-commit force *)
 }
 
 type t = {
@@ -73,19 +80,12 @@ type t = {
   tracer : Icdb_obs.Tracer.t;
       (** span recorder; disabled unless the caller passed an enabled one *)
   metrics : Metrics.t;
-  global_cc : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
-      (** the additional CC module: strict global 2PL on (site/key) *)
   conflict : Icdb_mlt.Conflict.t;
-  l1_locks : Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t;
-      (** L1 lock manager: commutativity-based compatibility *)
   redo_log : Action_log.t;  (** commitment-after (§3.2) *)
   undo_log : Action_log.t;  (** commitment-before standalone (§3.3) *)
   mlt_undo_log : Action_log.t;
       (** the L1 transaction manager's own undo-log, reused by
           commitment-before under multi-level transactions (§4.3) *)
-  decision_log : Icdb_util.Gid_store.Bool.t;  (** gid -> global decision (stable) *)
-  journal : (int, journal_entry) Hashtbl.t;
-      (** stable per-transaction protocol journal for central recovery *)
   graph : Serialization_graph.t;
   mutable next_gid : int;
   mutable global_cc_enabled : bool;
@@ -103,19 +103,15 @@ type t = {
       (** per-site decision-traffic batchers; empty unless
           [msg_batch_window] was set at creation *)
   central_gc_window : float option;
-      (** group-commit window for the central decision log; [None] = every
-          decision is durable instantly (the pre-batching model) *)
-  mutable cgc_waiters : unit Icdb_sim.Fiber.resumer list;
-  mutable cgc_scheduled : bool;
-  mutable central_forces : int;
-  mutable central_decisions : int;
-  mutable central_force_hook : unit -> unit;
+      (** group-commit window for every coordinator's decision log;
+          [None] = each decision pays its own force *)
   phase_hists : Icdb_obs.Registry.histogram option array Icdb_util.Strtbl.t;
       (** lazily filled per-(protocol, phase) handle cache behind
           {!phase_histogram} *)
-  shards : shard array;
-      (** [[||]] when unsharded — every journal/lock/decision path is then
-          exactly the pre-sharding code *)
+  central : coordinator;
+  shards : coordinator array;
+      (** [[||]] when unsharded: every gid and every site then belongs to
+          [central] *)
   shard_of_site : int Icdb_util.Strtbl.t;
   gid_route : int array Icdb_util.Gid_store.t;
       (** gid -> sorted participating shard ids, registered by
@@ -125,7 +121,6 @@ type t = {
           serial log device; [None] (default) = instantaneous forces, the
           pre-sharding model. Ignored while [central_gc_window] batches
           forces. *)
-  mutable central_busy_until : float;
   mutable decision_replicator : (gid:int -> commit:bool -> unit) option;
       (** Paxos Commit hook ({!Paxos_commit.install}): when set,
           {!journal_decide} makes a decision durable by replicating it to
@@ -167,15 +162,17 @@ type t = {
     [msg_batch_window] (default [None]) turns on per-site decision-message
     piggybacking: one {!Icdb_net.Batcher} per site with that window, plus an
     [icdb_batch_occupancy{site}] histogram. [central_gc_window] (default
-    [None]) turns on group commit for the central decision log:
-    {!journal_decide} calls within one window share a single log force,
-    counted by [icdb_central_decision_forces_total]. Both treat a
+    [None]) turns on group commit for every coordinator's decision log:
+    {!journal_decide} calls at one coordinator within one window share a
+    single log force, counted by [icdb_central_decision_forces_total] at
+    the central system. Both treat a
     non-positive window as [None], and when off add no metrics and no
     behavior change — default-config runs are byte-identical to before.
 
     [shards] (default 1) groups the sites into that many contiguous
-    balanced shards, each coordinated by its first site; 1 builds no shard
-    state at all and reproduces unsharded runs byte-for-byte.
+    balanced shards, each coordinated by its first site and counted by
+    [icdb_shard_decisions_total] and [icdb_shard_decision_forces_total];
+    1 builds no shard coordinator, so every gid routes to [central].
     [decision_force_time] (default [None]) gives every decision-log force a
     service time on its coordinator's serial log device — the knob the S2
     sharding lab turns to expose the central log as the bottleneck. Raises
@@ -216,60 +213,53 @@ val phase_histogram :
 val site_names : t -> string list
 val fresh_gid : t -> int
 
-(** Record a decision in the central system's stable log. *)
-val log_decision : t -> gid:int -> commit:bool -> unit
+(** {2 Coordinators} *)
+
+(** [owner t ~gid] is the coordinator that decides [gid]: the shard
+    coordinator on the single-shard fast path, [t.central] for a top-level
+    (cross-shard) transaction, a gid opened without sites, or any gid of an
+    unsharded federation. Its journal holds the gid's authoritative entry. *)
+val owner : t -> gid:int -> coordinator
+
+(** The coordinator whose CC module and L1 manager lock objects at [site]:
+    the owning shard's, or [t.central] when unsharded or the site is
+    unknown. Lock objects are "site/key" strings, disjoint across shards,
+    so this changes which volatile table holds an entry — and therefore
+    what a coordinator crash wipes — without changing any grant. *)
+val site_coordinator : t -> site:string -> coordinator
+
+(** [t.central], then every shard coordinator in index order. *)
+val iter_coordinators : t -> (coordinator -> unit) -> unit
+
+val sum_coordinators : t -> (coordinator -> int) -> int
 
 (** [decision t ~gid] looks the decision up in the central log first, then
     in every shard's log — a decision is a decision no matter which
     coordinator forced it. *)
 val decision : t -> gid:int -> bool option
 
-(** Stable decision records across the central and all shard logs. *)
+(** Stable decision records across every coordinator's log. *)
 val decision_log_size : t -> int
 
-(** {2 Sharding} *)
+(** [release_owner t ~gid table] releases what [gid] holds in [table c]
+    ([fun c -> c.cc] or [fun c -> c.l1]) at every coordinator (no-op per
+    table where it holds nothing). *)
+val release_owner :
+  t -> gid:int -> (coordinator -> 'a Icdb_lock.Lock_table.t) -> unit
 
-(** Whether the federation was created with [shards > 1]. *)
-val sharded : t -> bool
+(** [crash c] wipes the coordinator's volatile lock tables (CC module and
+    L1 manager); its stable journal and decision log survive. Crashing the
+    coordinator's host site is the caller's separate step. *)
+val crash : coordinator -> unit
 
-(** [route t gid] is the sorted participating shard ids {!journal_open}
-    registered for [gid]; [None] when unsharded or opened without sites
-    (central coordinates either way). *)
-val route : t -> int -> int array option
+(** Decision-log forces at [c]: with group commit on, the shared forces
+    that actually happened; off, one per decision logged there (the
+    baseline they are compared against). Always 0 while a
+    [decision_replicator] is installed — durability then lives at the
+    acceptor quorum. *)
+val log_forces : t -> coordinator -> int
 
-(** The shard owning a site, or [None] when unsharded / unknown. *)
-val shard_for_site : t -> string -> int option
-
-(** The CC-module / L1 lock table responsible for objects at [site]: the
-    owning shard's table, or the central one when unsharded. *)
-val cc_table : t -> site:string -> Icdb_lock.Mode.t Icdb_lock.Lock_table.t
-
-val l1_table : t -> site:string -> Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t
-
-(** Release a global transaction's locks across the central and every
-    shard table (no-op per table where it holds nothing). *)
-val release_cc_owner : t -> gid:int -> unit
-
-val release_l1_owner : t -> gid:int -> unit
-
-(** Coordinator actor for a gid's spans and traces: "shard-<i>" on the
-    single-shard fast path, "central" otherwise. *)
-val gid_actor : t -> gid:int -> string
-
-(** [shard_crash t ~shard] wipes the shard's volatile lock tables (CC
-    module + L1 manager), the shard-coordinator analogue of
-    {!Central_recovery.crash}; stable shard state survives. Crashing the
-    coordinator site itself is the caller's separate step. *)
-val shard_crash : t -> shard:int -> unit
-
-(** Shard decision-log forces summed over shards (group-commit forces when
-    the window is on, one per shard decision otherwise), and total shard
-    decisions. Both 0 when unsharded. *)
-val shard_log_forces : t -> int
-
-val shard_decisions : t -> int
-
-(** {2 Central journal (used by the protocols and central recovery)} *)
+(** {2 Journal (used by the protocols and recovery)} *)
 
 (** [journal_open_routed t ~sites ~gid ~protocol] adds an [Executing]
     entry. In a sharded federation [sites] (the member sites the
@@ -290,16 +280,17 @@ val journal_open : t -> gid:int -> protocol:string -> unit
     record it in the owning shard's mirror). *)
 val journal_branch : t -> gid:int -> site:string -> txn_id:int -> unit
 
-(** [journal_decide t ~gid ~commit] flips the entry to [Decided] {e and}
-    writes the decision log. With [central_gc_window] set the caller (a
-    protocol fiber) blocks until the window's shared log force completes —
-    the decision is durable on return either way. Routed: a single-shard
-    transaction decides entirely at its shard coordinator (no top-level
-    write, force or message); a cross-shard one decides at the top level
-    and then runs a "shard-decide" RPC round over the participating shard
-    coordinators, each forcing its own journal before acknowledging (a
-    coordinator down past the retry budget misses the round and is caught
-    up by per-shard recovery). *)
+(** [journal_decide t ~gid ~commit] flips the {!owner}'s entry to
+    [Decided] {e and} writes its decision log, then makes the decision
+    durable: a force on the owner's serial log device, a share of a
+    group-commit force with [central_gc_window] set, or an accept round
+    with Paxos Commit installed. The caller (a protocol fiber) blocks until
+    then. A single-shard transaction thus decides entirely at its shard
+    coordinator (no top-level write, force or message); a cross-shard one
+    decides at the top level and then runs a "shard-decide" RPC round over
+    its participating shards, each shard coordinator logging and forcing
+    before it acknowledges (one down past the retry budget misses the
+    round and is caught up by per-shard recovery). *)
 val journal_decide : t -> gid:int -> commit:bool -> unit
 
 (** [journal_close t ~gid] removes the entry (and any shard mirrors) once
@@ -329,12 +320,6 @@ val reset_message_counters : t -> unit
     message batching is off. Protocols route decision-phase traffic through
     it via {!Protocol_common}. *)
 val batcher : t -> string -> Icdb_net.Batcher.t option
-
-(** Central decision-log forces: with group commit on, the shared forces
-    that actually happened; off, one per decision (the baseline they are
-    compared against). Always 0 while a [decision_replicator] is installed —
-    durability then lives at the acceptor quorum. *)
-val central_log_forces : t -> int
 
 (** Batch envelopes put on the wire across all sites, and members per
     envelope on average (0 with batching off). *)

@@ -104,12 +104,8 @@ let check_leaks t =
     in
     if List.for_all idle t.fed.Federation.sites then begin
       let global =
-        Lock.held_count t.fed.Federation.global_cc
-        + Lock.held_count t.fed.Federation.l1_locks
-        + Array.fold_left
-            (fun acc (sh : Federation.shard) ->
-              acc + Lock.held_count sh.sh_cc + Lock.held_count sh.sh_l1)
-            0 t.fed.Federation.shards
+        Federation.sum_coordinators t.fed (fun c ->
+            Lock.held_count c.cc + Lock.held_count c.l1)
       in
       let local =
         List.fold_left

@@ -92,8 +92,8 @@ type t = {
   fed : Federation.t;
   acceptors : int;
   failover_delay : float;
-  central_group : group;
-  shard_groups : group array;
+  groups : (Federation.coordinator * group) list;
+      (* one per coordinator, the central system's first *)
   ballots : Gid_store.Int.t;  (* gid -> highest ballot issued here, 0 if none *)
   mutable rounds : int;  (* accept rounds driven (ballot 0 and recovery) *)
   mutable failovers : int;
@@ -104,13 +104,8 @@ type t = {
 
 let quorum group = (Array.length group.members / 2) + 1
 
-(* The group owning a gid's consensus instance mirrors the journal routing:
-   the shard group on the single-shard fast path, the central group for
-   everything else. *)
-let group_for t ~gid =
-  match Federation.route t.fed gid with
-  | Some [| s |] when s < Array.length t.shard_groups -> t.shard_groups.(s)
-  | Some _ | None -> t.central_group
+(* A gid's consensus instance lives in its owner's group. *)
+let group_for t ~gid = List.assq (Federation.owner t.fed ~gid) t.groups
 
 (* Run [call] against every group member in its own fiber; resume the
    caller once [quorum] members voted yes, or — so the wait always ends —
@@ -175,13 +170,9 @@ let next_ballot t ~gid =
   Gid_store.Int.set t.ballots gid b;
   b
 
-(* Is the gid's journal entry still open (anywhere)? A closed entry means
+(* Is the gid's journal entry still open at its owner? A closed entry means
    the transaction finished and there is nothing to fail over. *)
-let still_open t ~gid =
-  let fed = t.fed in
-  match Federation.route fed gid with
-  | Some [| s |] -> Hashtbl.mem fed.shards.(s).Federation.sh_journal gid
-  | Some _ | None -> Hashtbl.mem fed.Federation.journal gid
+let still_open t ~gid = Hashtbl.mem (Federation.owner t.fed ~gid).journal gid
 
 (* New-leader election for one in-doubt transaction, triggered by a fault
    injector right after it simulated the coordinator's crash. After a
@@ -224,7 +215,7 @@ let failover t ~gid =
           accept_round t ~gid ~ballot ~value;
           if Tracer.enabled fed.Federation.tracer then
             Tracer.instant fed.Federation.tracer
-              ~actor:(Federation.gid_actor fed ~gid)
+              ~actor:(Federation.owner fed ~gid).name
               (Span.Mark "paxos-failover");
           ignore (Central_recovery.takeover fed ~gid)
         end
@@ -243,8 +234,7 @@ let acceptor_forces t =
         end)
       g.members
   in
-  add t.central_group;
-  Array.iter add t.shard_groups;
+  List.iter (fun (_, g) -> add g) t.groups;
   !sum
 
 let rounds t = t.rounds
@@ -260,40 +250,30 @@ let install ?(failover_delay = 25.0) fed ~acceptors =
   (* One acceptor object per site, shared between groups: a gid's instance
      lives in exactly one group, so sharing only merges the force counts. *)
   let by_site = Hashtbl.create 16 in
-  let acceptor_at (name, site) =
+  let acceptor_at name =
     match Hashtbl.find_opt by_site name with
     | Some a -> a
     | None ->
-      let a = Acceptor.create site in
+      let a = Acceptor.create (Federation.site fed name) in
       Hashtbl.add by_site name a;
       a
   in
-  let take n l = List.filteri (fun i _ -> i < n) l in
-  (* Deterministic groups, recomputable with no shared state: the central
-     group is the first 2F+1 sites (the central system co-located with
-     acceptor 0); a shard's group is the first min(2F+1, |shard|) members,
-     led by the shard coordinator. *)
-  let central_group =
-    { members = Array.of_list (List.map acceptor_at (take acceptors sites)) }
+  (* Deterministic groups, recomputable with no shared state: a
+     coordinator's group is its first min(2F+1, |members|) sites, led by
+     the coordinator's host — for the central system the first 2F+1 sites
+     of the federation (co-located with acceptor 0). *)
+  let group (c : Federation.coordinator) =
+    let members = List.filteri (fun i _ -> i < acceptors) c.members in
+    (c, { members = Array.of_list (List.map acceptor_at members) })
   in
-  let shard_groups =
-    Array.map
-      (fun (sh : Federation.shard) ->
-        let members =
-          take acceptors sh.sh_sites
-          |> List.map (fun name -> acceptor_at (name, Federation.site fed name))
-        in
-        { members = Array.of_list members })
-      fed.Federation.shards
-  in
+  let groups = List.map group (fed.central :: Array.to_list fed.shards) in
   let registry = fed.Federation.registry in
   let t =
     {
       fed;
       acceptors;
       failover_delay;
-      central_group;
-      shard_groups;
+      groups;
       ballots = Gid_store.Int.create ();
       rounds = 0;
       failovers = 0;

@@ -56,11 +56,12 @@ end
 type t
 
 (** [install fed ~acceptors] replicates every decision over [acceptors]
-    (= 2F+1, odd) sites and installs the federation hooks. The central
-    group is the first 2F+1 sites; in a sharded federation each shard
-    coordinator leads its own group over the shard's first min(2F+1, size)
-    members (fast-path decisions replicate there, cross-shard ones at the
-    central group). [failover_delay] (default 25.0) models crash detection
+    (= 2F+1, odd) sites and installs the federation hooks. Every
+    {!Federation.coordinator} leads one group over its first
+    min(2F+1, size) member sites — the central system's is the
+    federation's first 2F+1 sites — and a gid's decision replicates in its
+    {!Federation.owner}'s group (fast-path decisions at their shard,
+    cross-shard ones at the central group). [failover_delay] (default 25.0) models crash detection
     plus election before a new leader acts. Registers the
     [icdb_paxos_*_total] counters — only here, so Paxos-free runs keep
     byte-identical metric snapshots. Raises [Invalid_argument] for an even

@@ -22,6 +22,9 @@ let mode_of_intent = function
   | `Increment -> Mode.Increment
   | `Write -> Mode.Exclusive
 
+let release_global_locks (fed : Federation.t) ~gid =
+  Federation.release_owner fed ~gid (fun c -> c.cc)
+
 let acquire_global_locks (fed : Federation.t) ~gid (spec : Global.spec) =
   if not fed.global_cc_enabled then true
   else begin
@@ -44,7 +47,7 @@ let acquire_global_locks (fed : Federation.t) ~gid (spec : Global.spec) =
            the table is the owning shard coordinator's (central when
            unsharded) *)
         match
-          Lock.acquire (Federation.cc_table fed ~site) ~owner:gid
+          Lock.acquire (Federation.site_coordinator fed ~site).cc ~owner:gid
             ~obj:(Federation.intern fed obj) ~mode ?timeout:fed.global_lock_timeout ()
         with
         | Lock.Granted ->
@@ -58,12 +61,9 @@ let acquire_global_locks (fed : Federation.t) ~gid (spec : Global.spec) =
         | exception Lock.Lock_revoked -> false)
     in
     let ok = go wanted in
-    if not ok then Federation.release_cc_owner fed ~gid;
+    if not ok then release_global_locks fed ~gid;
     ok
   end
-
-let release_global_locks (fed : Federation.t) ~gid =
-  Federation.release_cc_owner fed ~gid
 
 let fanout (fed : Federation.t) thunks = Fiber.all fed.engine thunks
 
@@ -87,7 +87,7 @@ let obs_begin (fed : Federation.t) ~gid ~protocol =
   (* the coordinator actor: "shard-<i>" when the gid routed to a single
      shard (the fast path), "central" otherwise — and always "central" in
      an unsharded federation, so existing traces are unchanged *)
-  let actor = Federation.gid_actor fed ~gid in
+  let actor = (Federation.owner fed ~gid).name in
   let txn_span =
     (* guard at the call site too: the [Span] argument is a record built
        before [begin_span] can decline it *)

@@ -112,16 +112,17 @@ let arm engine (fed : Federation.t) ~base_latency ~base_loss ~mlt ~crashed
           (Sim.schedule engine ~delay:(at +. duration) (fun () ->
                Link.set_duplication link 0.0))
       | Shard_crash { shard; at; duration } ->
-        if Federation.sharded fed then begin
+        if Array.length fed.shards > 0 then begin
           let shard = shard mod Array.length fed.shards in
-          let coord = Federation.site fed fed.shards.(shard).sh_coord in
+          let c = fed.shards.(shard) in
+          let coord = Federation.site fed (List.hd c.members) in
           ignore
             (Sim.schedule engine ~delay:at (fun () ->
                  inject fed "shard-crash";
                  (* the coordinator site goes down and the shard's volatile
                     CC/L1 state dies with it; restart recovery runs at
                     drain, once the in-flight fibers have settled *)
-                 Federation.shard_crash fed ~shard;
+                 Federation.crash c;
                  crashed := shard :: !crashed;
                  if Site.is_up coord then Site.crash_for coord ~duration))
         end

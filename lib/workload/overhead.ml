@@ -218,7 +218,7 @@ let run ?registry cfg =
       (fun acc (_, site) -> acc + Icdb_wal.Log.force_count (Db.wal (Site.db site)))
       0 fed.sites
   in
-  let central_log_forces = Federation.central_log_forces fed in
+  let central_log_forces = Federation.log_forces fed fed.central in
   let paxos_acceptor_forces =
     match paxos with
     | Some p -> Icdb_core.Paxos_commit.acceptor_forces p

@@ -211,36 +211,37 @@ type names = {
   ns_sites : string array;
   ns_accounts : string array;
   ns_shards : int array array;
-      (* site indices per shard, [Federation.create]'s contiguous-range
-         mapping; [||] when the run is unsharded *)
+      (* site indices per shard coordinator, in member order; [||] when the
+         run is unsharded *)
 }
 
-let make_names cfg =
+let make_names cfg (fed : Federation.t) =
+  let ns_sites = Array.init cfg.n_sites site_name in
+  let index name = Option.get (Array.find_index (String.equal name) ns_sites) in
   {
-    ns_sites = Array.init cfg.n_sites site_name;
+    ns_sites;
     ns_accounts = Array.init cfg.accounts_per_site account_name;
     ns_shards =
-      (if cfg.shards <= 1 then [||]
-       else
-         Array.init cfg.shards (fun s ->
-             Array.of_list
-               (List.filter
-                  (fun i -> i * cfg.shards / cfg.n_sites = s)
-                  (List.init cfg.n_sites Fun.id))));
+      Array.map
+        (fun (c : Federation.coordinator) -> Array.of_list (List.map index c.members))
+        fed.shards;
   }
 
 (* Shard-aware site placement. A single-shard transaction samples all its
    branches inside one uniformly chosen shard (→ the fast path); a
    cross-shard one spreads its branches round-robin over distinct shards so
-   "cross" deterministically means cross. Only reached when [shards > 1]:
-   the unsharded generator keeps its exact pre-sharding draw sequence. *)
-let sharded_sites cfg names rng ~branches_n =
+   "cross" deterministically means cross. An unsharded run keeps its exact
+   pre-sharding draw sequence. *)
+let within rng members n =
+  let n = min n (Array.length members) in
+  List.map
+    (fun i -> members.(i))
+    (Rng.sample_distinct rng ~n ~bound:(Array.length members))
+
+let pick_sites cfg names rng ~branches_n =
   let shards = Array.length names.ns_shards in
-  let within members n =
-    let n = min n (Array.length members) in
-    List.map (fun i -> members.(i)) (Rng.sample_distinct rng ~n ~bound:(Array.length members))
-  in
-  if branches_n > 1 && Rng.bernoulli rng cfg.cross_shard_fraction then begin
+  if shards = 0 then Rng.sample_distinct rng ~n:branches_n ~bound:cfg.n_sites
+  else if branches_n > 1 && Rng.bernoulli rng cfg.cross_shard_fraction then begin
     let k = min branches_n shards in
     let shard_ids = Rng.sample_distinct rng ~n:k ~bound:shards in
     let quota = Array.make shards 0 in
@@ -249,17 +250,14 @@ let sharded_sites cfg names rng ~branches_n =
         let s = List.nth shard_ids (b mod k) in
         quota.(s) <- quota.(s) + 1)
       (List.init branches_n Fun.id);
-    List.concat_map (fun s -> within names.ns_shards.(s) quota.(s)) shard_ids
+    List.concat_map (fun s -> within rng names.ns_shards.(s) quota.(s)) shard_ids
   end
-  else within names.ns_shards.(Rng.int rng shards) branches_n
+  else within rng names.ns_shards.(Rng.int rng shards) branches_n
 
 let flat_spec cfg names fed rng zipf =
   let gid = Federation.fresh_gid fed in
   let branches_n = min cfg.branches_per_txn cfg.n_sites in
-  let sites =
-    if cfg.shards <= 1 then Rng.sample_distinct rng ~n:branches_n ~bound:cfg.n_sites
-    else sharded_sites cfg names rng ~branches_n
-  in
+  let sites = pick_sites cfg names rng ~branches_n in
   let branches_n = List.length sites in
   let abort_branch =
     if Rng.bernoulli rng cfg.p_intended_abort then Some (Rng.int rng branches_n) else None
@@ -286,10 +284,7 @@ let flat_spec cfg names fed rng zipf =
 let mlt_spec cfg names fed rng zipf =
   let gid = Federation.fresh_gid fed in
   let branches_n = min cfg.branches_per_txn cfg.n_sites in
-  let sites =
-    if cfg.shards <= 1 then Rng.sample_distinct rng ~n:branches_n ~bound:cfg.n_sites
-    else sharded_sites cfg names rng ~branches_n
-  in
+  let sites = pick_sites cfg names rng ~branches_n in
   let branches_n = List.length sites in
   let n_ops = branches_n * cfg.ops_per_branch in
   let deltas = if cfg.use_increments then balanced_deltas rng ~n:n_ops else [||] in
@@ -374,7 +369,7 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
      message counts — accumulate by design.) *)
   if registry <> None then Metrics.reset fed.metrics;
   fed.global_cc_enabled <- cfg.global_cc_enabled;
-  let names = make_names cfg in
+  let names = make_names cfg fed in
   (* Preload accounts, reusing the interned name array instead of
      re-formatting every account name a second time. *)
   let rows =
@@ -511,9 +506,13 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
       phase_breakdown fed.registry ~protocol:(Protocol.obs_name cfg.protocol);
     batch_envelopes = Federation.batch_envelopes fed;
     batch_occupancy_mean = Federation.batch_occupancy_mean fed;
-    central_log_forces = Federation.central_log_forces fed;
-    shard_log_forces = Federation.shard_log_forces fed;
-    shard_decisions = Federation.shard_decisions fed;
+    central_log_forces = Federation.log_forces fed fed.central;
+    shard_log_forces =
+      Array.fold_left (fun acc c -> acc + Federation.log_forces fed c) 0 fed.shards;
+    shard_decisions =
+      Array.fold_left
+        (fun acc (c : Federation.coordinator) -> acc + c.decisions)
+        0 fed.shards;
     paxos_rounds =
       (match paxos with Some p -> Icdb_core.Paxos_commit.rounds p | None -> 0);
     paxos_acceptor_forces =

@@ -302,9 +302,9 @@ let test_stuck_monitor_first_trip () =
 let test_lock_leak_monitor_first_trip () =
   let eng, fed, m = monitored_fed () in
   (* A global-CC lock granted and never released, no transaction alive. *)
-  let obj = Lock.intern fed.Federation.global_cc "acct-3" in
+  let obj = Lock.intern fed.Federation.central.cc "acct-3" in
   Alcotest.(check bool) "uncontended grant" true
-    (Lock.try_acquire fed.Federation.global_cc ~owner:99 ~obj
+    (Lock.try_acquire fed.Federation.central.cc ~owner:99 ~obj
        ~mode:Icdb_lock.Mode.Exclusive);
   Sim.run eng;
   (match Monitor.first_trip m "lock-leak" with

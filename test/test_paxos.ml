@@ -268,7 +268,7 @@ let test_protocol_runs_over_paxos () =
   Alcotest.check outcome_testable "committed" Global.Committed outcome;
   Alcotest.(check (option int)) "s0 credited" (Some 105) (value fed "s0" "x");
   Alcotest.(check (option int)) "s1 debited" (Some 95) (value fed "s1" "x");
-  Alcotest.(check int) "no coordinator force" 0 (Federation.central_log_forces fed);
+  Alcotest.(check int) "no coordinator force" 0 (Federation.log_forces fed fed.central);
   Alcotest.(check int) "one accept round" 1 (Paxos.rounds p);
   Alcotest.(check (option bool)) "group remembers commit" (Some true)
     (Paxos.read_decision p ~gid:1);

@@ -76,9 +76,11 @@ let test_fast_path_no_top_level () =
   Alcotest.(check (option int)) "s0 credited" (Some 105) (value fed "s0" "x");
   Alcotest.(check (option int)) "s1 debited" (Some 95) (value fed "s1" "x");
   Alcotest.(check int) "central decision log untouched" 0
-    (Icdb_util.Gid_store.Bool.length fed.Federation.decision_log);
-  Alcotest.(check int) "no central log force" 0 (Federation.central_log_forces fed);
-  Alcotest.(check int) "one shard decision" 1 (Federation.shard_decisions fed);
+    (Icdb_util.Gid_store.Bool.length fed.Federation.central.decision_log);
+  Alcotest.(check int) "no central log force" 0 (Federation.log_forces fed fed.central);
+  Alcotest.(check int) "one shard decision" 1
+    (Array.fold_left (fun n (c : Federation.coordinator) -> n + c.decisions) 0
+       fed.shards);
   Alcotest.(check int) "journal drained" 0 (Federation.total_journal_entries fed)
 
 let test_cross_shard_top_level () =
@@ -90,9 +92,9 @@ let test_cross_shard_top_level () =
   let outcome = in_sim eng (fun () -> Tpc.run fed (spec fed [ ("s0", 5); ("s2", -5) ])) in
   Alcotest.check outcome_testable "committed" Global.Committed outcome;
   Alcotest.(check int) "central decision logged" 1
-    (Icdb_util.Gid_store.Bool.length fed.Federation.decision_log);
+    (Icdb_util.Gid_store.Bool.length fed.Federation.central.decision_log);
   Alcotest.(check bool) "central force taken" true
-    (Federation.central_log_forces fed >= 1);
+    (Federation.log_forces fed fed.central >= 1);
   Alcotest.(check int) "journal drained" 0 (Federation.total_journal_entries fed)
 
 (* --- shard-coordinator crash in the decision window ---------------------- *)
@@ -114,7 +116,7 @@ let prepared_cross_shard fed =
   in
   let t0 = prep "s0" 5 in
   let t2 = prep "s2" (-5) in
-  Federation.log_decision fed ~gid ~commit:true;
+  Icdb_util.Gid_store.Bool.replace fed.Federation.central.decision_log gid true;
   (gid, t0, t2)
 
 let test_shard_crash_decision_window () =
@@ -123,7 +125,7 @@ let test_shard_crash_decision_window () =
   load_accounts fed [ ("x", 100) ];
   in_sim eng (fun () ->
       let _gid, t0, t2 = prepared_cross_shard fed in
-      Federation.shard_crash fed ~shard:0;
+      Federation.crash fed.Federation.shards.(0);
       let s = Central_recovery.recover_shard fed ~shard:0 in
       Alcotest.(check int) "one mirror recovered" 1 s.entries_recovered;
       Alcotest.(check int) "decision pushed to s0" 1 s.decisions_pushed;
@@ -158,7 +160,7 @@ let test_fast_path_presumed_abort () =
       in
       prep "s0" 5;
       prep "s1" (-5);
-      Federation.shard_crash fed ~shard:0;
+      Federation.crash fed.Federation.shards.(0);
       let s = Central_recovery.recover_shard fed ~shard:0 in
       Alcotest.(check int) "entry recovered" 1 s.entries_recovered;
       Alcotest.(check (option int)) "s0 rolled back" (Some 100) (value fed "s0" "x");
@@ -173,7 +175,7 @@ let test_recover_shard_idempotent () =
   load_accounts fed [ ("x", 100) ];
   in_sim eng (fun () ->
       ignore (prepared_cross_shard fed);
-      Federation.shard_crash fed ~shard:0;
+      Federation.crash fed.Federation.shards.(0);
       ignore (Central_recovery.recover_shard fed ~shard:0);
       let again = Central_recovery.recover_shard fed ~shard:0 in
       Alcotest.(check int) "second pass finds nothing" 0 again.entries_recovered;
@@ -193,6 +195,322 @@ let test_recover_shard_out_of_range () =
   let fed = make_sharded eng in
   Alcotest.check_raises "out of range" (Invalid_argument "Central_recovery.recover_shard")
     (fun () -> ignore (Central_recovery.recover_shard fed ~shard:7))
+
+(* --- one resolve against the previous three derivations ------------------- *)
+
+(* Before the coordinator record, recovery derived an in-doubt decision in
+   three places: whole-federation [recover], per-shard [recover_shard] and
+   the Paxos leader's [takeover]. Those rules, with the effects each had on
+   journals, decision logs and prepared branches, are kept here as the
+   oracle for the single derivation and [resolve]. Journal and log index 0
+   is the central system, index [s + 1] shard [s]. *)
+module Oracle = struct
+  type t = {
+    route : (int, int array) Hashtbl.t;
+    journals : (int, Federation.journal_phase * (string * int) list) Hashtbl.t array;
+    logs : (int, bool) Hashtbl.t array;
+    quorum : (int, bool) Hashtbl.t;
+    resolved : (string * int, bool) Hashtbl.t;  (* (site, txn id) -> decision *)
+    members : string list array;  (* per shard *)
+  }
+
+  let decision m gid =
+    Array.fold_left
+      (fun d log -> if Option.is_some d then d else Hashtbl.find_opt log gid)
+      None m.logs
+
+  let logged m gid =
+    match decision m gid with Some d -> Some d | None -> Hashtbl.find_opt m.quorum gid
+
+  let push m branches d ~site_ok =
+    List.iter
+      (fun ((site, _) as b) ->
+        if site_ok site && not (Hashtbl.mem m.resolved b) then
+          Hashtbl.replace m.resolved b d)
+      branches
+
+  let close m gid =
+    (match Hashtbl.find_opt m.route gid with
+    | None -> Hashtbl.remove m.journals.(0) gid
+    | Some [| s |] -> Hashtbl.remove m.journals.(s + 1) gid
+    | Some multi ->
+      Hashtbl.remove m.journals.(0) gid;
+      Array.iter (fun s -> Hashtbl.remove m.journals.(s + 1) gid) multi);
+    Hashtbl.remove m.route gid
+
+  let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+  let recover m =
+    (* shard journals first, so the top entry wins for a cross-shard gid *)
+    let merged = Hashtbl.create 8 in
+    Array.iteri
+      (fun i j -> if i > 0 then Hashtbl.iter (Hashtbl.replace merged) j)
+      m.journals;
+    Hashtbl.iter (Hashtbl.replace merged) m.journals.(0);
+    let entries = sorted merged in
+    List.iter
+      (fun (gid, (phase, branches)) ->
+        let d =
+          match phase with
+          | Federation.Decided d -> d
+          | Federation.Executing -> Option.value ~default:false (logged m gid)
+        in
+        push m branches d ~site_ok:(fun _ -> true);
+        close m gid)
+      entries;
+    List.length entries
+
+  let recover_shard m s =
+    let count = ref 0 in
+    List.iter
+      (fun (gid, (phase, branches)) ->
+        let local =
+          match Hashtbl.find_opt m.route gid with Some [| _ |] -> true | _ -> false
+        in
+        let decision =
+          match phase with
+          | Federation.Decided d -> Some d
+          | Federation.Executing ->
+            if local then Some (Option.value ~default:false (logged m gid))
+            else logged m gid
+        in
+        match decision with
+        | None -> ()
+        | Some d ->
+          incr count;
+          push m branches d ~site_ok:(fun site -> local || List.mem site m.members.(s));
+          Hashtbl.replace m.logs.(s + 1) gid d;
+          if local then close m gid else Hashtbl.remove m.journals.(s + 1) gid)
+      (sorted m.journals.(s + 1));
+    !count
+
+  let takeover m gid =
+    let journal =
+      match Hashtbl.find_opt m.route gid with
+      | Some [| s |] -> m.journals.(s + 1)
+      | Some _ | None -> m.journals.(0)
+    in
+    match Hashtbl.find_opt journal gid with
+    | None -> false
+    | Some (phase, branches) ->
+      let d =
+        match phase with
+        | Federation.Decided d -> d
+        | Federation.Executing -> Option.value ~default:false (logged m gid)
+      in
+      push m branches d ~site_ok:(fun _ -> true);
+      Hashtbl.replace m.logs.(0) gid d;
+      close m gid;
+      true
+end
+
+type kind = Fast of int | Cross | Unrouted
+type where_logged = Nowhere | Top of bool | At_shard of int * bool
+
+type gid_case = {
+  kind : kind;
+  top : Federation.journal_phase;  (* the owner's entry *)
+  mirror_phases : Federation.journal_phase * Federation.journal_phase;
+  logged : where_logged;
+  quorum : bool option;
+}
+
+type op = Recover | Recover_shard of int | Takeover of int
+
+let prop_resolve_matches_oracle =
+  let open QCheck2 in
+  let phase =
+    Gen.oneofl [ Federation.Executing; Federation.Decided true; Federation.Decided false ]
+  in
+  let case =
+    Gen.(
+      let* kind = oneofl [ Fast 0; Fast 1; Cross; Unrouted ] in
+      let* top = phase in
+      let* m0 = phase in
+      let* m1 = phase in
+      let* logged =
+        oneof
+          [
+            return Nowhere;
+            map (fun b -> Top b) bool;
+            map2 (fun s b -> At_shard (s, b)) (0 -- 1) bool;
+          ]
+      in
+      let* quorum = opt bool in
+      return { kind; top; mirror_phases = (m0, m1); logged; quorum })
+  in
+  let gen =
+    Gen.(
+      let* cases = list_size (1 -- 6) case in
+      let n = List.length cases in
+      let* ops =
+        list_size (1 -- 6)
+          (frequency
+             [
+               (1, return Recover);
+               (2, map (fun s -> Recover_shard s) (0 -- 1));
+               (2, map (fun g -> Takeover g) (1 -- n));
+             ])
+      in
+      return (cases, ops))
+  in
+  let print (cases, ops) =
+    let ph = function
+      | Federation.Executing -> "exec"
+      | Federation.Decided b -> Printf.sprintf "decided %b" b
+    in
+    let kind = function
+      | Fast s -> Printf.sprintf "fast %d" s
+      | Cross -> "cross"
+      | Unrouted -> "unrouted"
+    in
+    let logged = function
+      | Nowhere -> "nowhere"
+      | Top b -> Printf.sprintf "top %b" b
+      | At_shard (s, b) -> Printf.sprintf "shard %d %b" s b
+    in
+    let op = function
+      | Recover -> "recover"
+      | Recover_shard s -> Printf.sprintf "recover_shard %d" s
+      | Takeover g -> Printf.sprintf "takeover %d" g
+    in
+    String.concat "; "
+      (List.mapi
+         (fun i c ->
+           Printf.sprintf "g%d: %s, %s, mirrors %s/%s, logged %s, quorum %s" (i + 1)
+             (kind c.kind) (ph c.top)
+             (ph (fst c.mirror_phases))
+             (ph (snd c.mirror_phases))
+             (logged c.logged)
+             (match c.quorum with None -> "none" | Some b -> string_of_bool b))
+         cases)
+    ^ " | " ^ String.concat ", " (List.map op ops)
+  in
+  QCheck2.Test.make ~name:"one resolve matches the three previous derivations" ~count:300
+    ~print gen (fun (cases, ops) ->
+      let eng = Sim.create () in
+      let fed = make_sharded eng in
+      let n = List.length cases in
+      load_accounts fed (List.init n (fun i -> ("k" ^ string_of_int (i + 1), 100)));
+      let m =
+        {
+          Oracle.route = Hashtbl.create 8;
+          journals = Array.init 3 (fun _ -> Hashtbl.create 8);
+          logs = Array.init 3 (fun _ -> Hashtbl.create 8);
+          quorum = Hashtbl.create 8;
+          resolved = Hashtbl.create 8;
+          members = [| [ "s0"; "s1" ]; [ "s2"; "s3" ] |];
+        }
+      in
+      let branches = ref [] in
+      (* local work takes virtual time: build the state inside a fiber *)
+      in_sim eng (fun () ->
+        List.iteri
+          (fun i c ->
+            let gid = Federation.fresh_gid fed in
+            assert (gid = i + 1);
+            let sites =
+              match c.kind with
+              | Fast 0 -> [ "s0"; "s1" ]
+              | Fast _ -> [ "s2"; "s3" ]
+              | Cross -> [ "s0"; "s2" ]
+              | Unrouted -> []
+            in
+            Federation.journal_open_routed fed ~sites ~gid ~protocol:"2pc";
+            let prep site =
+              let db = Site.db (Federation.site fed site) in
+              let txn = Db.begin_txn db in
+              Result.get_ok (Db.increment db txn ~key:("k" ^ string_of_int gid) ~delta:1);
+              Result.get_ok (Db.prepare db txn);
+              Federation.journal_branch fed ~gid ~site ~txn_id:(Db.txn_id txn);
+              branches := ((site, Db.txn_id txn), txn) :: !branches;
+              (site, Db.txn_id txn)
+            in
+            let set (journal : (int, Federation.journal_entry) Hashtbl.t) phase =
+              Option.iter
+                (fun (e : Federation.journal_entry) -> e.j_phase <- phase)
+                (Hashtbl.find_opt journal gid)
+            in
+            (match c.kind with
+            | Fast s ->
+              let b = prep (if s = 0 then "s0" else "s2") in
+              set fed.shards.(s).journal c.top;
+              Hashtbl.replace m.route gid [| s |];
+              Hashtbl.replace m.journals.(s + 1) gid (c.top, [ b ])
+            | Cross ->
+              let b0 = prep "s0" in
+              let b2 = prep "s2" in
+              let p0, p1 = c.mirror_phases in
+              set fed.central.journal c.top;
+              set fed.shards.(0).journal p0;
+              set fed.shards.(1).journal p1;
+              Hashtbl.replace m.route gid [| 0; 1 |];
+              Hashtbl.replace m.journals.(0) gid (c.top, [ b0; b2 ]);
+              Hashtbl.replace m.journals.(1) gid (p0, [ b0 ]);
+              Hashtbl.replace m.journals.(2) gid (p1, [ b2 ])
+            | Unrouted ->
+              let b = prep "s1" in
+              set fed.central.journal c.top;
+              Hashtbl.replace m.journals.(0) gid (c.top, [ b ]));
+            (match c.logged with
+            | Nowhere -> ()
+            | Top d ->
+              Icdb_util.Gid_store.Bool.replace fed.central.decision_log gid d;
+              Hashtbl.replace m.logs.(0) gid d
+            | At_shard (s, d) ->
+              Icdb_util.Gid_store.Bool.replace fed.shards.(s).decision_log gid d;
+              Hashtbl.replace m.logs.(s + 1) gid d);
+            Option.iter (Hashtbl.replace m.quorum gid) c.quorum)
+          cases);
+      fed.decision_recover <- Some (fun ~gid -> Hashtbl.find_opt m.quorum gid);
+      let journals =
+        fed.central :: Array.to_list fed.shards
+        |> List.map (fun (c : Federation.coordinator) -> c.journal)
+      in
+      let open_entries () =
+        List.map
+          (fun j -> Hashtbl.fold (fun gid _ acc -> gid :: acc) j [] |> List.sort compare)
+          journals
+      in
+      let model_entries () =
+        Array.to_list m.journals |> List.map (fun j -> List.map fst (Oracle.sorted j))
+      in
+      let state_of txn =
+        match Db.state txn with
+        | `Committed -> Some true
+        | `Aborted _ -> Some false
+        | `Prepared | `Running -> None
+      in
+      in_sim eng (fun () ->
+          List.iteri
+            (fun step op ->
+              let got, want =
+                match op with
+                | Recover ->
+                  ((Central_recovery.recover fed).entries_recovered, Oracle.recover m)
+                | Recover_shard s ->
+                  ( (Central_recovery.recover_shard fed ~shard:s).entries_recovered,
+                    Oracle.recover_shard m s )
+                | Takeover gid ->
+                  ( Bool.to_int (Central_recovery.takeover fed ~gid),
+                    Bool.to_int (Oracle.takeover m gid) )
+              in
+              if got <> want then
+                Test.fail_reportf "step %d: %d entries resolved, oracle %d" step got want;
+              if open_entries () <> model_entries () then
+                Test.fail_reportf "step %d: open journal entries differ" step;
+              for gid = 1 to n do
+                if Federation.decision fed ~gid <> Oracle.decision m gid then
+                  Test.fail_reportf "step %d: decision of g%d differs" step gid
+              done;
+              List.iter
+                (fun (b, txn) ->
+                  if state_of txn <> Hashtbl.find_opt m.resolved b then
+                    Test.fail_reportf "step %d: branch %s/%d resolved differently" step
+                      (fst b) (snd b))
+                !branches)
+            ops);
+      true)
 
 (* --- shards=1 is the unsharded runner ------------------------------------ *)
 
@@ -370,6 +688,7 @@ let () =
             test_recover_shard_idempotent;
           Alcotest.test_case "shard index validated" `Quick
             test_recover_shard_out_of_range;
+          QCheck_alcotest.to_alcotest prop_resolve_matches_oracle;
         ] );
       ( "equivalence",
         [
