@@ -41,9 +41,6 @@ let summary t =
     branches_undone = t.undone;
   }
 
-(* Same marker scheme as Commit_before_mlt. *)
-let action_marker ~gid ~seq = "__am:" ^ string_of_int gid ^ ":" ^ string_of_int seq
-
 (* Push [decision] to the entry's branches and action-log records,
    restricted to sites satisfying [site_ok]. All paths are
    marker-guarded/idempotent, so overlapping recovery passes — or recovery
@@ -68,20 +65,11 @@ let apply (fed : Federation.t) ~gid ~(entry : Federation.journal_entry) ~decisio
     Site.await_up site;
     let db = Site.db site in
     if Db.committed_value db (commit_marker ~gid) = Some 1 then begin
-      let inverse =
-        match
-          List.find_opt
-            (fun (e : Action_log.entry) -> e.site = site_name)
-            (Action_log.entries fed.undo_log ~gid)
-        with
-        | Some e -> e.program
-        | None -> failwith "Central_recovery: missing undo-log entry"
-      in
       if
         persistently_apply fed ~gid ~site:site_name ~marker:(undo_marker ~gid ~seq:0)
           ~compensation:true
           ~on_attempt:(fun () -> Metrics.compensation fed.metrics)
-          inverse
+          (undo_program fed ~gid ~site:site_name)
       then tally.undone <- tally.undone + 1
     end
   in

@@ -708,6 +708,59 @@ let test_message_counts () =
   count `After 12;
   count `Before 8
 
+(* --- coordinator crash points --- *)
+
+(* The ordered [fed.central_fail] labels of every protocol on three paths:
+   a commit, an abort vote at s1 (an intended abort after the first action
+   for MLT) and an execution failure (s1 down while the branches execute,
+   back at t=50 so that an inquiry waiting for it ends). A4, the chaos
+   campaigns and crash enumerations crash the coordinator at exactly these
+   points. Hybrid runs on s0 prepare-capable, s1 not. *)
+let test_central_fail_points () =
+  let points ?(prepare1 = true) ~down run =
+    let eng = Sim.create () in
+    let fed = Federation.create eng [ site_cfg "s0"; site_cfg ~prepare:prepare1 "s1" ] in
+    load_accounts fed [ ("x", 100) ];
+    let seen = ref [] in
+    fed.central_fail <- (fun ~gid:_ p -> seen := p :: !seen);
+    if down then Site.crash_for (Federation.site fed "s1") ~duration:50.0;
+    ignore (in_sim eng (fun () -> run fed));
+    List.rev !seen
+  in
+  let flat ?prepare1 run =
+    List.map
+      (fun (vote1, down) ->
+        points ?prepare1 ~down (fun fed -> run fed (transfer_spec fed ~vote1 "x")))
+      [ (true, false); (false, false); (true, true) ]
+  in
+  let mlt =
+    List.map
+      (fun (abort_after, down) ->
+        points ~down (fun fed -> Mlt.run fed (mlt_transfer fed ~abort_after 5)))
+      [ (None, false); (Some 1, false); (None, true) ]
+  in
+  let full = [ "executed"; "voted"; "decided" ] in
+  Alcotest.(check (list (pair string (list (list string)))))
+    "commit / vote-abort / execution failure"
+    [
+      ("2pc", [ full; full; [ "executed" ] ]);
+      ("2pc-pa", [ full; [ "executed"; "voted" ]; [ "executed"; "voted" ] ]);
+      ("after", [ full; full; full ]);
+      ("before", [ full; full; full ]);
+      ( "mlt",
+        [ [ "action-0"; "action-1"; "decided" ]; [ "action-0"; "decided" ];
+          [ "action-0"; "decided" ] ] );
+      ("hybrid", [ full; full; full ]);
+    ]
+    [
+      ("2pc", flat Tpc.run);
+      ("2pc-pa", flat Icdb_core.Presumed_abort.run);
+      ("after", flat After.run);
+      ("before", flat Before.run);
+      ("mlt", mlt);
+      ("hybrid", flat ~prepare1:false Icdb_core.Commit_hybrid.run);
+    ]
+
 (* --- serialization graph unit tests --- *)
 
 let test_graph_conflict_classification () =
@@ -1457,7 +1510,10 @@ let () =
           Alcotest.test_case "fig8 page-level vs mlt" `Quick test_fig8_page_level_vs_mlt;
         ] );
       ( "messages",
-        [ Alcotest.test_case "per-protocol counts" `Quick test_message_counts ] );
+        [
+          Alcotest.test_case "per-protocol counts" `Quick test_message_counts;
+          Alcotest.test_case "per-protocol crash points" `Quick test_central_fail_points;
+        ] );
       ( "graph",
         [
           Alcotest.test_case "conflict classification" `Quick
