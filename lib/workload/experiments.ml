@@ -56,6 +56,23 @@ let transfer_spec fed ?(vote0 = true) ?(vote1 = true) ?(amount = 5) key =
       ];
   }
 
+(* [transfer_spec fed "x"] under [protocol]; MLT moves the same 5 as a
+   deposit at s0 and a withdrawal at s1. *)
+let run_transfer protocol fed =
+  match protocol with
+  | Protocol.Before_mlt ->
+    Mlt.run fed
+      {
+        Global.mlt_gid = Federation.fresh_gid fed;
+        actions =
+          [
+            Action.deposit ~site:"s0" ~account:"x" 5;
+            Action.withdraw ~site:"s1" ~account:"x" 5;
+          ];
+        abort_after = None;
+      }
+  | flat -> Protocol.run_flat flat fed (transfer_spec fed "x")
+
 let value fed site key = Db.committed_value (Site.db (Federation.site fed site)) key
 
 let kill_running_at eng fed ~site ~at =
@@ -479,24 +496,7 @@ let v6 () =
       (Sim.schedule eng ~delay:crash_at (fun () ->
            Site.crash_for (Federation.site fed "s0") ~duration:25.0));
     let outcome =
-      in_sim eng (fun () ->
-          match protocol with
-          | Protocol.Two_phase -> Tpc.run fed (transfer_spec fed "x")
-          | Protocol.Presumed_abort -> Icdb_core.Presumed_abort.run fed (transfer_spec fed "x")
-          | Protocol.After -> After.run fed (transfer_spec fed "x")
-          | Protocol.Before -> Before.run fed (transfer_spec fed "x")
-          | Protocol.Hybrid -> Icdb_core.Commit_hybrid.run fed (transfer_spec fed "x")
-          | Protocol.Before_mlt ->
-            Mlt.run fed
-              {
-                Global.mlt_gid = Federation.fresh_gid fed;
-                actions =
-                  [
-                    Action.deposit ~site:"s0" ~account:"x" 5;
-                    Action.withdraw ~site:"s1" ~account:"x" 5;
-                  ];
-                abort_after = None;
-              })
+      in_sim eng (fun () -> run_transfer protocol fed)
     in
     List.iter
       (fun (_, site) -> if not (Site.is_up site) then ignore (Site.restart site))
@@ -741,24 +741,7 @@ let a4 () =
         | Central_crash -> Recovery.crash fed
         | e -> raise e)
       (fun () ->
-        ignore
-          (match protocol with
-          | Protocol.Two_phase -> Tpc.run fed (transfer_spec fed "x")
-          | Protocol.Presumed_abort -> Icdb_core.Presumed_abort.run fed (transfer_spec fed "x")
-          | Protocol.After -> After.run fed (transfer_spec fed "x")
-          | Protocol.Before -> Before.run fed (transfer_spec fed "x")
-          | Protocol.Hybrid -> Icdb_core.Commit_hybrid.run fed (transfer_spec fed "x")
-          | Protocol.Before_mlt ->
-            Mlt.run fed
-              {
-                Global.mlt_gid = Federation.fresh_gid fed;
-                actions =
-                  [
-                    Action.deposit ~site:"s0" ~account:"x" 5;
-                    Action.withdraw ~site:"s1" ~account:"x" 5;
-                  ];
-                abort_after = None;
-              }));
+        ignore (run_transfer protocol fed));
     Sim.run eng;
     fed.Federation.central_fail <- (fun ~gid:_ _ -> ());
     let summary = in_sim eng (fun () -> Recovery.recover fed) in
