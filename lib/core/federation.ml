@@ -449,8 +449,6 @@ let phase_histogram t ~protocol phase =
     slots.(i) <- Some h;
     h
 
-let site_names t = List.map fst t.sites
-
 let fresh_gid t =
   t.next_gid <- t.next_gid + 1;
   t.next_gid
@@ -703,9 +701,6 @@ let messages_by_label t =
         (Link.messages_by_label (Site.link site)))
     t.sites;
   Hashtbl.fold (fun label n acc -> (label, n) :: acc) merged [] |> List.sort compare
-
-let reset_message_counters t =
-  List.iter (fun (_, site) -> Link.reset_counters (Site.link site)) t.sites
 
 let committed_total t =
   List.fold_left (fun acc (_, site) -> acc + Db.committed_total (Site.db site)) 0 t.sites

@@ -210,7 +210,6 @@ val intern : t -> string -> Icdb_util.Symbol.t
 val phase_histogram :
   t -> protocol:string -> Icdb_obs.Span.phase -> Icdb_obs.Registry.histogram
 
-val site_names : t -> string list
 val fresh_gid : t -> int
 
 (** {2 Coordinators} *)
@@ -311,8 +310,6 @@ val total_journal_entries : t -> int
 val total_messages : t -> int
 
 val messages_by_label : t -> (string * int) list
-
-val reset_message_counters : t -> unit
 
 (** {2 Commit-overhead batching} *)
 

@@ -67,6 +67,5 @@ let safe_stat f h = if Registry.hist_count h = 0 then 0.0 else f h
 
 let mean_hold_time t = safe_stat Registry.hist_mean t.hold
 let p95_hold_time t = safe_stat (fun h -> Registry.hist_percentile h 95.0) t.hold
-let hold_time_samples t = Registry.hist_count t.hold
 let mean_response_time t = safe_stat Registry.hist_mean t.response
 let p95_response_time t = safe_stat (fun h -> Registry.hist_percentile h 95.0) t.response

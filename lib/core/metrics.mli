@@ -54,6 +54,5 @@ val l1_lock_acquisitions : t -> int
 val mean_hold_time : t -> float
 
 val p95_hold_time : t -> float
-val hold_time_samples : t -> int
 val mean_response_time : t -> float
 val p95_response_time : t -> float

@@ -26,7 +26,9 @@ let horizon = 300.0
    few accounts per site), commuting increments so the federation-wide
    balance is an atomicity invariant, a healthy intended-abort rate so the
    compensation paths run, and short local lock waits so in-doubt locals
-   stall neighbours briefly instead of forever. *)
+   stall neighbours briefly instead of forever. [shards] > 1 runs it on a
+   sharded federation (4 sites, a 25% cross-shard rate); [acceptors] > 1
+   installs Paxos Commit with that group size. *)
 let base_config ?(shards = 1) ?(acceptors = 1) protocol ~seed =
   {
     Runner.default with

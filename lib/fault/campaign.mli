@@ -11,17 +11,6 @@ exception Central_crash_injected
 (** Raised inside a coordinator fiber when an armed {!Plan.Central_crash}
     fires; the runner's worker counts and swallows it. *)
 
-(** Fixed chaos workload for one protocol (small federation, hot accounts,
-    commuting increments, intended aborts). [shards] (default 1) runs the
-    chaos workload on a sharded federation (4 sites, a 25% cross-shard
-    rate); 1 keeps the exact pre-sharding config.
-    [acceptors] (default 1) installs Paxos Commit with that group size;
-    1 keeps the single-coordinator decision log, byte-identical to the
-    pre-Paxos campaign. *)
-val base_config :
-  ?shards:int -> ?acceptors:int ->
-  Icdb_workload.Protocol.t -> seed:int64 -> Icdb_workload.Runner.config
-
 (** Virtual-time window plan events are drawn from. *)
 val horizon : float
 
@@ -91,7 +80,7 @@ type protocol_stats = {
 }
 
 (** [check_config ?shards ?acceptors ()] is {!Icdb_workload.Runner.check_config}
-    of the campaign's configuration ({!base_config}: 3 sites, 4 with
+    of the campaign's fixed chaos workload (3 sites, 4 with
     [shards] > 1): [Error] with one line naming the valid range when no
     plan could run, for example an even [acceptors] or one above the site
     count. *)

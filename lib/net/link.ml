@@ -254,12 +254,6 @@ let set_duplication t p =
     invalid_arg "Link.set_duplication: probability must be in [0,1)";
   t.dup <- p
 
-let set_max_retries t n =
-  (match n with
-  | Some n when n < 0 -> invalid_arg "Link.set_max_retries: negative cap"
-  | Some _ | None -> ());
-  t.max_retries <- n
-
 let orphan_count t = Hashtbl.length t.orphans
 
 let evict_gid t ~gid =

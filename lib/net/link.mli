@@ -110,7 +110,6 @@ val set_latency : t -> float -> unit
 
 val set_loss : t -> float -> unit
 val set_duplication : t -> float -> unit
-val set_max_retries : t -> int option -> unit
 
 (** Orphaned receiver-side dedup entries (abandoned exchanges whose request
     reached the receiver), and their eviction once the owning global

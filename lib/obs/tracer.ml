@@ -74,7 +74,6 @@ let create ?(enabled = false) ?limit ~clock () =
   }
 
 let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 let set_clock t clock = t.clock <- clock
 
 let set_sink t sink = t.sink <- sink

@@ -39,7 +39,6 @@ type t
 val create : ?enabled:bool -> ?limit:int -> clock:(unit -> float) -> unit -> t
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 (** [set_sink t (Some f)] taps every recorded event: [f] runs before the
     event is stored (or not stored — see {!set_store}), in recording

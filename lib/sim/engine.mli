@@ -15,8 +15,8 @@
     event already due then (those were scheduled before the clock got
     there), so the lane is in order, and the heap's events at the current
     instant pop before the lane's. The lane is therefore not visible to
-    the simulation — see {!Engine_ref} for the reference heap the
-    equivalence tests compare against.
+    the simulation — the equivalence tests compare it against a plain
+    reference heap ([test/engine_ref.ml]).
 
     Time is a dimensionless [float]; the experiments interpret one unit as
     "one millisecond" but nothing depends on that. *)

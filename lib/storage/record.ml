@@ -2,10 +2,6 @@ let check_key key =
   let n = String.length key in
   if n = 0 || n > 255 then invalid_arg "Record: key must be 1..255 bytes"
 
-let encoded_size ~key =
-  check_key key;
-  2 + String.length key + 8
-
 let encode ~key ~value =
   check_key key;
   let klen = String.length key in

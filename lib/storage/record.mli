@@ -12,5 +12,3 @@ val encode : key:string -> value:int -> bytes
     malformed payload. *)
 val decode : bytes -> string * int
 
-(** Payload size for a given key (values are fixed-width). *)
-val encoded_size : key:string -> int

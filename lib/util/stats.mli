@@ -21,8 +21,6 @@ module Summary : sig
   (** Sample variance (Bessel-corrected); [0.] with fewer than 2 points. *)
   val variance : t -> float
 
-  val stddev : t -> float
-
   (** [min t], [max t]: raise [Invalid_argument] when empty. *)
   val min : t -> float
 

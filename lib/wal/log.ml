@@ -19,35 +19,6 @@ type record =
   | Prepare of { txn : txn_id; last : lsn }
   | Checkpoint of { active : (txn_id * lsn) list; dirty : Icdb_storage.Disk.page_id list }
 
-let pp_op fmt = function
-  | Insert { rid; key; value } ->
-    Format.fprintf fmt "insert %a %s=%d" Icdb_storage.Heap.pp_rid rid key value
-  | Delete { rid; key; value } ->
-    Format.fprintf fmt "delete %a %s=%d" Icdb_storage.Heap.pp_rid rid key value
-  | Update { rid; key; before; after } ->
-    Format.fprintf fmt "update %a %s: %d->%d" Icdb_storage.Heap.pp_rid rid key before after
-  | Incr { rid; key; delta } ->
-    Format.fprintf fmt "incr %a %s %+d" Icdb_storage.Heap.pp_rid rid key delta
-
-let pp_record fmt = function
-  | Begin txn -> Format.fprintf fmt "BEGIN t%d" txn
-  | Op { txn; op; prev } -> Format.fprintf fmt "OP t%d prev=%d %a" txn prev pp_op op
-  | Commit txn -> Format.fprintf fmt "COMMIT t%d" txn
-  | Abort txn -> Format.fprintf fmt "ABORT t%d" txn
-  | Clr { txn; op; next_undo } ->
-    Format.fprintf fmt "CLR t%d next_undo=%d %a" txn next_undo pp_op op
-  | Prepare { txn; last } -> Format.fprintf fmt "PREPARE t%d last=%d" txn last
-  | Checkpoint { active; dirty } ->
-    Format.fprintf fmt "CHECKPOINT active=[%a] dirty=[%a]"
-      (Format.pp_print_list
-         ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
-         (fun f (t, l) -> Format.fprintf f "t%d@%d" t l))
-      active
-      (Format.pp_print_list
-         ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
-         Format.pp_print_int)
-      dirty
-
 (* --- encoding --------------------------------------------------------------
 
    A record is a tag byte and varints (7 bits a byte, low group first, high

@@ -40,8 +40,6 @@ type record =
   | Prepare of { txn : txn_id; last : lsn }
   | Checkpoint of { active : (txn_id * lsn) list; dirty : Icdb_storage.Disk.page_id list }
 
-val pp_record : Format.formatter -> record -> unit
-
 (** The log keeps its records as bytes, not as record values.
 
     Records are appended into fixed chunks of 2,040 bytes. A [bytes] of

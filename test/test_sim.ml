@@ -1,7 +1,6 @@
 (* Tests for Icdb_sim: event engine, fibers, ivars, mailboxes, traces. *)
 
 module Engine = Icdb_sim.Engine
-module Engine_ref = Icdb_sim.Engine_ref
 module Fiber = Icdb_sim.Fiber
 module Trace = Icdb_sim.Trace
 
