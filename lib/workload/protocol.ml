@@ -8,7 +8,7 @@ let name = function
   | Before_mlt -> "commit-before+mlt"
   | Hybrid -> "hybrid"
 
-(* The short name the protocols pass to [Protocol_common.obs_begin] — the
+(* The short name the protocols pass to [Protocol_common.open_run] — the
    label on span kinds and phase-latency histograms. *)
 let obs_name = function
   | Two_phase -> "2pc"
