@@ -429,7 +429,7 @@ let trace_cmd =
       Federation.create eng ~tracer
         [ site_cfg ~prepare:(prepare 0) "s0"; site_cfg ~prepare:(prepare 1) "s1" ]
     in
-    List.iter (fun (_, site) -> Db.load (Site.db site) [ ("x", 100) ]) fed.Federation.sites;
+    Federation.preload fed [ ("x", 100) ];
     let result = ref None in
     Fiber.spawn eng (fun () ->
         let outcome =

@@ -36,7 +36,7 @@ let dirty_read_schedule ~cc =
   let eng = Sim.create () in
   let fed = make_fed eng in
   fed.global_cc_enabled <- cc;
-  List.iter (fun (_, s) -> Db.load (Site.db s) [ ("x", 100) ]) fed.sites;
+  Federation.preload fed [ ("x", 100) ];
   Fiber.spawn eng (fun () ->
       let g1 =
         {
@@ -68,7 +68,7 @@ let order_flip_schedule ~cc =
   let eng = Sim.create () in
   let fed = make_fed eng in
   fed.global_cc_enabled <- cc;
-  List.iter (fun (_, s) -> Db.load (Site.db s) [ ("x", 100); ("y", 100) ]) fed.sites;
+  Federation.preload fed [ ("x", 100); ("y", 100) ];
   Fiber.spawn eng (fun () ->
       let g1 =
         {

@@ -8,6 +8,14 @@ module Action = Icdb_mlt.Action
 module Span = Icdb_obs.Span
 open Protocol_common
 
+(* The crash-point label after action [seq], built once for the first few
+   sequence numbers: the hook it feeds is a no-op in most runs. *)
+let action_labels = Array.init 16 (fun seq -> "action-" ^ string_of_int seq)
+
+let action_label seq =
+  if seq < Array.length action_labels then action_labels.(seq)
+  else "action-" ^ string_of_int seq
+
 let execute_action (fed : Federation.t) ~gid ~seq (action : Action.t) =
   let site = Federation.site fed action.site in
   let db = Site.db site in
@@ -79,7 +87,7 @@ let run ?(action_retries = 0) (fed : Federation.t) (spec : Global.mlt_spec) =
             match execute_action fed ~gid ~seq action with
             | Ok () ->
               completed := (seq, action) :: !completed;
-              fed.central_fail ~gid (("action-" ^ string_of_int seq));
+              fed.central_fail ~gid (action_label seq);
               step (seq + 1) rest
             | Error cause ->
               if tries_left > 0 then begin

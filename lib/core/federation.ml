@@ -420,6 +420,8 @@ let site t name =
   | Some s -> s
   | None -> raise Not_found
 
+let preload t rows = Db.preload (List.map (fun (_, site) -> Site.db site) t.sites) rows
+
 (* Intern a global lock-object name (global-CC "site/key" objects, L1
    objects) against the federation's symbol table. *)
 let intern t s = Symbol.intern t.syms s

@@ -200,6 +200,17 @@ val default_conflict : Icdb_mlt.Conflict.t
 (** [site t name]. Raises [Not_found] for unknown names. *)
 val site : t -> string -> Icdb_net.Site.t
 
+(** [preload t rows] installs [rows] as the initial committed data of
+    every site: {!Icdb_localdb.Engine.load} on the first site, whose
+    storage every other site then receives as a replica
+    ({!Icdb_localdb.Engine.preload}). Each site ends exactly as if it had
+    loaded [rows] itself, force-counter increments included, and shares
+    with the first site only the page images and flushed log chunks that
+    no site changes in place. Every site must be fresh (no transaction
+    begun, no log record, force or page) and all must have the same buffer
+    capacity; otherwise raises [Invalid_argument] before loading any. *)
+val preload : t -> (string * int) list -> unit
+
 (** [intern t s] interns a global lock-object name against the federation's
     symbol table (use for global-CC and L1 lock objects). *)
 val intern : t -> string -> Icdb_util.Symbol.t

@@ -134,7 +134,7 @@ type t = {
   page_syms : (int, Symbol.t) Hashtbl.t;
   page_alloc_sym : Symbol.t;
   rng : Rng.t;
-  disk : Disk.t;
+  mutable disk : Disk.t;
   log : Log.t;
   mutable pool : Bp.t;
   mutable heap : Heap.t;
@@ -800,9 +800,7 @@ let prepare t txn =
    recovered from the log: simplest correct answer is a full rebuild from
    the heap, in its iteration order (a later live record of a key wins). *)
 let rebuild_index t =
-  let rows = ref [] in
-  Heap.iter t.heap (fun rid key _ -> rows := (key, Heap.pack rid) :: !rows);
-  t.index <- Btree.of_bindings (Array.of_list (List.rev !rows));
+  t.index <- Btree.of_bindings (Heap.bindings t.heap);
   forget_locs t
 
 (* In-doubt transactions lost their in-memory access list to the crash;
@@ -971,6 +969,39 @@ let load t rows =
   forget_locs t;
   ignore (Log.append t.log (Commit txn.id));
   Log.flush t.log
+
+(* A fresh engine has begun no transaction and holds no record, force or
+   page. *)
+let is_fresh t =
+  t.up && t.next_txn = 0 && Log.record_count t.log = 0 && Log.force_count t.log = 0
+  && Disk.page_count t.disk = 0
+
+(* [r] takes a copy of everything [load] changed in [src]: the storage,
+   the index and the transaction counter. The heap owns every page of its
+   disk, so [Heap.recover] over the copied disk is [src]'s heap. [load]
+   leaves every key location unknown, as a fresh [r]'s already are. *)
+let replicate ~src r =
+  r.disk <- Disk.copy src.disk;
+  r.pool <- Bp.copy src.pool r.disk;
+  install_wal_hook r;
+  r.heap <- Heap.recover r.disk r.pool;
+  r.index <- Btree.copy src.index;
+  r.next_txn <- src.next_txn;
+  Log.replicate ~src:src.log r.log
+
+let preload ts rows =
+  match ts with
+  | [] -> ()
+  | src :: replicas ->
+    if not (List.for_all is_fresh ts) then invalid_arg "Engine.preload: a site is not fresh";
+    let capacity = src.config.buffer_capacity in
+    if List.exists (fun r -> r.config.buffer_capacity <> capacity) replicas then
+      invalid_arg "Engine.preload: sites differ in buffer capacity";
+    load src rows;
+    List.iter (replicate ~src) replicas
+
+let index_bindings t =
+  List.map (fun (key, loc) -> (key, Heap.unpack loc)) (Btree.to_list t.index)
 
 (* A sharp checkpoint: force pages (log first via the WAL hook), log the
    checkpoint record, then drop the log prefix nobody can need — the oldest

@@ -126,6 +126,25 @@ val capabilities : t -> capabilities
     one is indexed. *)
 val load : t -> (string * int) list -> unit
 
+(** [preload ts rows] leaves every engine of [ts] as {!load}[ t rows] on
+    each would, but loads only the first and makes every other one a
+    replica of it. A replica cannot be told from an engine that ran the
+    load itself: the same log bytes, LSNs and force count, page images on
+    disk and in the pool, rids, index, pool counters and LRU order, and
+    transaction counter; its log's force hook has fired once per force of
+    the load. It shares with the first engine only what neither ever
+    changes in place: the disk's page images and the log chunks the load
+    flushed (see {!Icdb_wal.Log.replicate}). The pool's frames, the heap's
+    metadata, the index and the log's tail are its own copies, so each
+    engine runs, crashes, restarts and checkpoints apart from the others.
+
+    Every engine must be fresh — up, no transaction begun, no log record
+    or force, no page — and all must have the same [buffer_capacity]: a
+    pool of another size would have evicted, written back and forced
+    differently during its own load. Otherwise raises [Invalid_argument]
+    and changes nothing. *)
+val preload : t list -> (string * int) list -> unit
+
 (** {1 Transaction interface} *)
 
 val begin_txn : t -> txn
@@ -228,6 +247,10 @@ val committed_total : t -> int
     [Some (key, description)] for the first key that differs. For
     tests. *)
 val check_key_locations : t -> (string * string) option
+
+(** The index's bindings, in key order: where each committed key's
+    record lives. For tests. *)
+val index_bindings : t -> (string * Icdb_storage.Heap.rid) list
 
 (** {1 Metrics} *)
 

@@ -42,6 +42,14 @@ let create ~capacity disk =
 
 let set_wal_hook t f = t.wal_hook <- f
 
+(* [Frames.copy] keeps every bucket's order, and [filter_map_inplace]
+   replaces each frame where it stands, so the copy iterates, flushes and
+   picks victims in [t]'s order. *)
+let copy t disk =
+  let frames = Frames.copy t.frames in
+  Frames.filter_map_inplace (fun _ frame -> Some { frame with page = Page.copy frame.page }) frames;
+  { t with disk; frames; wal_hook = (fun ~lsn:_ -> ()) }
+
 let write_back t frame =
   if frame.dirty then begin
     t.wal_hook ~lsn:(Page.lsn frame.page);
@@ -49,18 +57,20 @@ let write_back t frame =
     frame.dirty <- false
   end
 
+let victim t =
+  Frames.fold
+    (fun _ frame best ->
+      if frame.pins > 0 then best
+      else
+        match best with
+        | None -> Some frame
+        | Some b -> if frame.last_used < b.last_used then Some frame else best)
+    t.frames None
+
+let next_victim t = Option.map (fun frame -> frame.pid) (victim t)
+
 let evict_one t =
-  let victim =
-    Frames.fold
-      (fun _ frame best ->
-        if frame.pins > 0 then best
-        else
-          match best with
-          | None -> Some frame
-          | Some b -> if frame.last_used < b.last_used then Some frame else best)
-      t.frames None
-  in
-  match victim with
+  match victim t with
   | None -> failwith "Buffer_pool: all frames pinned"
   | Some frame ->
     write_back t frame;
@@ -120,6 +130,8 @@ let flush_page t pid =
 let flush_all t = Frames.iter (fun _ frame -> write_back t frame) t.frames
 
 let drop_all t = Frames.reset t.frames
+
+let resident t = List.rev (Frames.fold (fun pid _ acc -> pid :: acc) t.frames [])
 
 let dirty_pages t =
   Frames.fold (fun pid frame acc -> if frame.dirty then pid :: acc else acc) t.frames []

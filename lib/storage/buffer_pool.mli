@@ -16,6 +16,15 @@ type t
     Raises [Invalid_argument] if [capacity <= 0]. *)
 val create : capacity:int -> Disk.t -> t
 
+(** [copy t disk] is a pool over [disk] whose frames hold copies of [t]'s
+    page images, with [t]'s dirty bits, pins, LRU clock and hit, miss and
+    eviction counts. Its frames sit in [t]'s hash-bucket order, so
+    {!flush_all} writes them back in [t]'s order (which decides how many
+    log forces a checkpoint takes) and {!next_victim} is [t]'s. Its WAL
+    hook is the no-op default: install the copy's own with
+    {!set_wal_hook}. *)
+val copy : t -> Disk.t -> t
+
 (** [set_wal_hook t f] installs [f], called as [f ~lsn] immediately before
     any dirty page with page-LSN [lsn] is written to disk. *)
 val set_wal_hook : t -> (lsn:int64 -> unit) -> unit
@@ -56,6 +65,14 @@ val flush_all : t -> unit
 (** [drop_all t] discards every frame {e without} writing — this is the
     crash: all volatile page state is lost. *)
 val drop_all : t -> unit
+
+(** Resident page ids in {!flush_all}'s write-back order. *)
+val resident : t -> Disk.page_id list
+
+(** The page an eviction would write back and drop now: the least
+    recently used unpinned frame. [None] when every frame is pinned or the
+    pool is empty. *)
+val next_victim : t -> Disk.page_id option
 
 (** Dirty page ids currently cached (checkpointing reports these). *)
 val dirty_pages : t -> Disk.page_id list

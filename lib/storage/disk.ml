@@ -42,6 +42,9 @@ let write t pid page =
   t.writes <- t.writes + 1;
   t.pages.(pid) <- Page.copy page
 
+(* The images are shared with [t]: neither disk changes one in place. *)
+let copy t = { t with pages = Array.copy t.pages }
+
 let page_count t = t.count
 let read_count t = t.reads
 let write_count t = t.writes

@@ -31,6 +31,12 @@ val free_space : t -> page_id -> int
 (** [write t pid page] replaces the stable image with a copy of [page]. *)
 val write : t -> page_id -> Page.t -> unit
 
+(** [copy t] is a disk with [t]'s pages and I/O counts that is written
+    apart from [t]. Only the page array is copied: the page images are
+    shared, which is safe because no image is ever changed in place —
+    {!write} replaces one with a copy and {!read} hands out a copy. *)
+val copy : t -> t
+
 val page_count : t -> int
 
 (** I/O accounting, reported by the experiment runner. *)

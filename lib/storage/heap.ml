@@ -167,6 +167,23 @@ let iter t f =
             (Page.live page)))
     (List.rev t.pages)
 
+(* One pin per page, in [iter]'s order, so the pool sees what [iter]
+   would make it see. *)
+let bindings t =
+  let of_page pid =
+    Buffer_pool.with_page t.pool pid ~write:false (fun page ->
+        let out = Array.make (Page.live_count page) ("", 0) and i = ref 0 in
+        for slot = 0 to Page.slot_count page - 1 do
+          match Page.key page ~slot with
+          | Some key ->
+            out.(!i) <- (key, pack { page = pid; slot });
+            incr i
+          | None -> ()
+        done;
+        out)
+  in
+  Array.concat (List.map of_page (List.rev t.pages))
+
 let count t =
   let n = ref 0 in
   iter t (fun _ _ _ -> incr n);

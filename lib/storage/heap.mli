@@ -77,6 +77,12 @@ val delete : t -> lsn:int64 -> rid -> bool
 (** [iter t f] applies [f rid key value] to every live record. *)
 val iter : t -> (rid -> string -> int -> unit) -> unit
 
+(** [bindings t] is [(key, pack rid)] for every live record, in {!iter}'s
+    order, read straight from the pages into one array: no value is
+    decoded and no list is built. It pins each page once, as {!iter}
+    does. *)
+val bindings : t -> (string * int) array
+
 (** Live record count (scans). *)
 val count : t -> int
 

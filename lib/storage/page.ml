@@ -49,6 +49,20 @@ let value t ~slot =
   if not (is_live t slot) then None
   else Some (Int64.to_int (Bytes.get_int64_be t.b (slot_off t slot + slot_len t slot - 8)))
 
+(* The key of [Record.encode]'s layout: a 2-byte length, then the bytes. *)
+let key t ~slot =
+  if not (is_live t slot) then None
+  else
+    let off = slot_off t slot in
+    Some (Bytes.sub_string t.b (off + 2) (Bytes.get_uint16_be t.b off))
+
+let live_count t =
+  let n = ref 0 in
+  for slot = 0 to slot_count t - 1 do
+    if slot_off t slot <> 0 then incr n
+  done;
+  !n
+
 (* Rewrites all live payloads against the end of the page, eliminating the
    holes left by deletes and relocating updates. Slot numbers are stable. *)
 let compact t =

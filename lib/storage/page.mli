@@ -63,6 +63,11 @@ val read : t -> slot:int -> bytes option
     out-of-range slots. *)
 val value : t -> slot:int -> int option
 
+(** [key t ~slot] is the key of the live record in [slot], read in place:
+    [fst (Record.decode payload)] without copying the payload. [None] for
+    dead or out-of-range slots. *)
+val key : t -> slot:int -> string option
+
 (** [update t ~slot ~payload] overwrites a live record. Same-size payloads
     are updated in place; size changes relocate within the page. [false] if
     the slot is dead or space is insufficient. *)
@@ -79,6 +84,10 @@ val free_space : t -> int
 
 (** Number of directory entries (live and dead). *)
 val slot_count : t -> int
+
+(** Number of live slots: [List.length (live t)] without building the
+    list. *)
+val live_count : t -> int
 
 (** Live [(slot, payload)] pairs in slot order. *)
 val live : t -> (int * bytes) list

@@ -392,6 +392,22 @@ let of_bindings bindings =
     { root = build level mins; count }
   end
 
+(* --- copy --- *)
+
+(* [Array.map] copies the children left to right, so the leaves are met in
+   chain order and each is linked from the copy met before it. *)
+let copy t =
+  let prev = ref None in
+  let rec node = function
+    | Leaf l ->
+      let c = { lkeys = Array.copy l.lkeys; lvals = Array.copy l.lvals; next = None } in
+      Option.iter (fun p -> p.next <- Some c) !prev;
+      prev := Some c;
+      Leaf c
+    | Internal n -> Internal { seps = Array.copy n.seps; children = Array.map node n.children }
+  in
+  { root = node t.root; count = t.count }
+
 (* --- traversal --- *)
 
 let rec leftmost = function

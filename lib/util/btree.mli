@@ -25,6 +25,12 @@ val create : unit -> 'a t
     [n] bindings while sorting. *)
 val of_bindings : (string * 'a) array -> 'a t
 
+(** [copy t] is a tree with [t]'s bindings and shape that is changed
+    apart from [t]: every node is copied and the copied leaves are linked
+    among themselves. Keys (immutable strings) and values are shared, so a
+    mutable value would be seen by both. O(n). *)
+val copy : 'a t -> 'a t
+
 (** [insert t key v] adds or replaces the binding. *)
 val insert : 'a t -> string -> 'a -> unit
 

@@ -93,7 +93,15 @@ let put_int b p n = put_varint b p (zigzag n)
    chunk yet ([cur = -1], [pos] at the end), so creating one allocates no
    chunk. The record with LSN [l] is the [i = l - base - 1]th retained one;
    [len] counts them. Entry [i lsr stride_bits] of [offs] holds the location
-   of retained record [i land lnot stride_mask]. *)
+   of retained record [i land lnot stride_mask].
+
+   A chunk below the one that holds the first unflushed record (below
+   [cur] when every record is flushed) is never written again: appends
+   write at the cursor, [next_chunk] marks the end of chunk [cur] only, and
+   [crash] moves the cursor back no further than the first unflushed
+   record. [truncate_prefix] moves to fresh chunks. The same holds for an
+   [offs] chunk whose every entry locates a flushed record. [replicate]
+   shares exactly these chunks. *)
 type t = {
   mutable chunks : bytes array;
   mutable cur : int;
@@ -383,6 +391,29 @@ let truncate_prefix t ~keep_from =
     t.len <- fresh.len;
     if t.flushed < t.base then t.flushed <- t.base
   end
+
+(* Shares [src]'s frozen chunks (see [t]) and copies the rest, so appends
+   and crashes on either log never reach the other. The forces are
+   replayed through [t]'s own hook. *)
+let replicate ~src t =
+  if last_lsn t > 0 || t.forces > 0 then invalid_arg "Log.replicate: target log is not fresh";
+  let flushed = min src.len (max 0 (src.flushed - src.base)) in
+  let frozen =
+    if src.cur < 0 then 0 else if flushed = src.len then src.cur else (seek src flushed).chunk
+  in
+  let own frozen i b = if i < frozen || Bytes.length b = 0 then b else Bytes.copy b in
+  t.chunks <- Array.mapi (own frozen) src.chunks;
+  t.offs <- Array.mapi (own (flushed lsr (stride_bits + offs_bits))) src.offs;
+  t.cur <- src.cur;
+  t.pos <- src.pos;
+  t.checkpoints <- Hashtbl.copy src.checkpoints;
+  t.base <- src.base;
+  t.len <- src.len;
+  t.flushed <- src.flushed;
+  for _ = 1 to src.forces do
+    t.forces <- t.forces + 1;
+    t.force_hook ()
+  done
 
 let set_force_hook t f = t.force_hook <- f
 let force_count t = t.forces

@@ -130,6 +130,17 @@ val iter : t -> (lsn -> record -> unit) -> unit
     V4 ablation reports. *)
 val force_count : t -> int
 
+(** [replicate ~src t] makes the fresh log [t] a replica of [src]: the
+    same records, LSNs, cursor, flushed LSN and force count, with [src]'s
+    checkpoint table copied. The chunks no later append or crash of
+    [src] can write — those below the one holding the first unflushed
+    record, and the location-table chunks that locate flushed records
+    only — are shared read-only; the tail is copied. [t] keeps its own
+    force hook and fires it once per force [src] took, so a site's
+    force counter reads as if [t] had taken them. Raises
+    [Invalid_argument] when [t] has a record or a force. *)
+val replicate : src:t -> t -> unit
+
 (** [set_force_hook t f] installs [f], invoked once per actual force (a
     {!flush} / {!flush_to} that made new records durable — no-op flushes do
     not fire it). Default: no-op; installing replaces the previous hook. *)

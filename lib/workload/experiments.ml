@@ -37,8 +37,7 @@ let make_fed ?(n = 2) ?(prepare = true) ?granularity ?trace eng =
   in
   Federation.create eng ?trace configs
 
-let load fed rows =
-  List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.Federation.sites
+let load fed rows = Federation.preload fed rows
 
 let in_sim eng f =
   let result = ref None in

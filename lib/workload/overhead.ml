@@ -177,7 +177,7 @@ let run ?registry cfg =
   let rows =
     List.init cfg.accounts_per_site (fun i -> (account_name i, cfg.initial_balance))
   in
-  List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.sites;
+  Federation.preload fed rows;
   let money_before = cfg.n_sites * cfg.accounts_per_site * cfg.initial_balance in
   (* Paxos Commit replication, fault-free: the lab that measures what the
      acceptor rounds cost in messages and forces per commit. *)

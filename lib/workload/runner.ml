@@ -375,7 +375,7 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
   let rows =
     List.init cfg.accounts_per_site (fun i -> (names.ns_accounts.(i), cfg.initial_balance))
   in
-  List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.sites;
+  Federation.preload fed rows;
   let money_before = cfg.n_sites * cfg.accounts_per_site * cfg.initial_balance in
   (* Paxos Commit: installed before [on_setup] so fault injectors armed
      there already see the leader-failover hook; [acceptors = 1] installs

@@ -38,8 +38,7 @@ let make_fed ?(n = 2) ?(prepare = true) ?granularity ?trace eng =
   let configs = List.init n (fun i -> site_cfg ~prepare ?granularity (Printf.sprintf "s%d" i)) in
   Federation.create eng ?trace configs
 
-let load_accounts fed rows =
-  List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.Federation.sites
+let load_accounts fed rows = Federation.preload fed rows
 
 let value fed site key = Db.committed_value (Site.db (Federation.site fed site)) key
 

@@ -36,8 +36,7 @@ let make_fed ?(uniform_prepare = None) ?trace eng =
   Federation.create eng ?trace
     [ site_cfg ~prepare:(prepare 0) "s0"; site_cfg ~prepare:(prepare 1) "s1" ]
 
-let load fed rows =
-  List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.Federation.sites
+let load fed rows = Federation.preload fed rows
 
 let in_sim eng f =
   let result = ref None in

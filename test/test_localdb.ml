@@ -1127,6 +1127,183 @@ let prop_occ_oracle =
 
 (* Regression: communication managers race site crashes; [begin_txn] on a
    down site raises, [begin_txn_opt] reports the outage as an outcome. *)
+(* --- replicated preload --- *)
+
+module Log = Icdb_wal.Log
+module Bp = Icdb_storage.Buffer_pool
+module Page = Icdb_storage.Page
+
+let same what a b = if a <> b then Alcotest.failf "%s differs from its own load's" what
+
+(* Asserts that [db] looks as [expected] (an [image] of an engine that
+   loaded the rows itself) and returns [db]'s image. Reading a pool page
+   pins it (a hit, an LRU tick), so every engine compared is read alike. *)
+let image db =
+  let log = Db.wal db and pool = Db.buffer_pool db in
+  let records = ref [] in
+  Log.iter log (fun lsn r -> records := (lsn, r) :: !records);
+  let lsns = (Log.first_lsn log, Log.last_lsn log, Log.flushed_lsn log, Log.force_count log) in
+  let resident = Bp.resident pool in
+  let victim = Bp.next_victim pool in
+  let dirty = Bp.dirty_pages pool in
+  let counts = (Bp.hit_count pool, Bp.miss_count pool, Bp.eviction_count pool) in
+  let pages = List.map (fun pid -> Bp.with_page pool pid ~write:false Page.copy) resident in
+  (List.rev !records, lsns, resident, victim, dirty, counts, pages, Db.index_bindings db)
+
+let same_image what expected db =
+  let records, lsns, resident, victim, dirty, counts, pages, index = image db in
+  let e_records, e_lsns, e_resident, e_victim, e_dirty, e_counts, e_pages, e_index = expected in
+  same (what ^ ": log records") e_records records;
+  same (what ^ ": first, last and flushed LSN, forces") e_lsns lsns;
+  same (what ^ ": resident pages in write-back order") e_resident resident;
+  same (what ^ ": next eviction victim") e_victim victim;
+  same (what ^ ": dirty pages") e_dirty dirty;
+  same (what ^ ": pool hits, misses, evictions") e_counts counts;
+  same (what ^ ": page images in the pool") e_pages pages;
+  same (what ^ ": index bindings") e_index index
+
+(* The stable page images, read through an emptied pool until the disk
+   runs out of pages. Drops the pool's frames: a test's last look. *)
+let disk_images db =
+  let pool = Db.buffer_pool db in
+  Bp.drop_all pool;
+  let rec read pid acc =
+    match Bp.with_page pool pid ~write:false Page.copy with
+    | page -> read (pid + 1) (page :: acc)
+    | exception Invalid_argument _ -> List.rev acc
+  in
+  read 0 []
+
+let counting_force_hook db =
+  let fired = ref 0 in
+  Log.set_force_hook (Db.wal db) (fun () -> incr fired);
+  fired
+
+(* Keys of 1 to 255 bytes, a third of them drawn from 41 short names so
+   that keys repeat; up to 400 rows cross pages, 2,040-byte log chunks and
+   16-record location strides, and a pool of 2 to 6 frames evicts during
+   the load. Every replica must equal an engine that ran [Db.load]: right
+   after the load, after a transaction whose dirty pages are flushed
+   before it commits (the flush order decides the forces), and after a
+   crash and restart. *)
+let prop_replicated_preload =
+  QCheck2.Test.make ~name:"replicated preload = independent loads" ~count:60
+    ~print:(fun (capacity, rows) ->
+      Printf.sprintf "capacity %d, %d rows: %s" capacity (List.length rows)
+        (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%d:%d" (String.length k) v) rows)))
+    QCheck2.Gen.(
+      pair (int_range 2 6)
+        (list_size (int_range 0 400)
+           (pair
+              (frequency
+                 [
+                   (1, map (Printf.sprintf "k%02d") (int_range 0 40));
+                   (2, string_size ~gen:(char_range 'a' 'z') (int_range 1 255));
+                 ])
+              int)))
+    (fun (capacity, rows) ->
+      let eng = Sim.create () in
+      let make name = Db.create eng { (locking_config name) with buffer_capacity = capacity } in
+      let loaded = make "loaded" and src = make "src" and r1 = make "r1" and r2 = make "r2" in
+      let all = [ loaded; src; r1; r2 ] in
+      let fired = List.map counting_force_hook all in
+      Db.load loaded rows;
+      Db.preload [ src; r1; r2 ] rows;
+      let check what =
+        let expected = image loaded in
+        List.iter2
+          (fun name db -> same_image (Printf.sprintf "%s %s" name what) expected db)
+          [ "source"; "replica 1"; "replica 2" ] [ src; r1; r2 ];
+        same (what ^ ": force hook calls") [ !(List.hd fired) ] (List.sort_uniq compare (List.map ( ! ) fired))
+      in
+      check "after the load";
+      let keys = List.sort_uniq compare (List.map fst rows) in
+      let touched = List.filteri (fun i _ -> i < 6) keys in
+      List.iter
+        (fun db ->
+          Fiber.spawn eng (fun () ->
+              let t = Db.begin_txn db in
+              List.iteri (fun i key -> ok (Db.increment db t ~key ~delta:(i + 1))) touched;
+              Db.flush_buffers db;
+              ok (Db.commit db t)))
+        all;
+      Sim.run eng;
+      check "after a transaction";
+      List.iter
+        (fun db ->
+          Db.crash db;
+          ignore (Db.restart db))
+        all;
+      check "after a restart";
+      let expected = disk_images loaded in
+      List.iter (fun db -> same "disk images" expected (disk_images db)) [ src; r1; r2 ];
+      let next db = Db.txn_id (Db.begin_txn db) in
+      same "next transaction id" (next loaded) (next r2);
+      true)
+
+(* Appends, a crash, a restart and a checkpoint that truncates the log on
+   one replica leave the source and another replica as they were. The
+   source appends first, so a log tail shared with the replica would hand
+   its bytes to the replica's appends; the replica inserts a key, which a
+   shared index leaf would show elsewhere. Each engine is compared with
+   one that loaded the rows itself and ran the same transactions. *)
+let test_replica_isolation () =
+  let eng = Sim.create () in
+  let make name = Db.create eng { (locking_config name) with buffer_capacity = 4 } in
+  let rows = List.init 700 (fun i -> (Printf.sprintf "acct-%05d" i, i)) in
+  let src = make "src" and a = make "a" and b = make "b" in
+  Db.preload [ src; a; b ] rows;
+  let own_src = make "own-src" and own_a = make "own-a" and own_b = make "own-b" in
+  List.iter (fun db -> Db.load db rows) [ own_src; own_a; own_b ];
+  let run db txn =
+    Fiber.spawn eng (fun () ->
+        let t = Db.begin_txn db in
+        txn db t;
+        ok (Db.commit db t));
+    Sim.run eng
+  in
+  List.iter
+    (fun db ->
+      run db (fun db t ->
+          ok (Db.increment db t ~key:"acct-00001" ~delta:5);
+          ok (Db.write db t ~key:"source-only" ~value:1)))
+    [ src; own_src ];
+  List.iter
+    (fun db ->
+      run db (fun db t ->
+          ok (Db.write db t ~key:"replica-only" ~value:7);
+          ok (Db.increment db t ~key:"acct-00002" ~delta:(-3));
+          ok (Db.delete db t "acct-00650"));
+      Db.crash db;
+      ignore (Db.restart db);
+      Db.checkpoint db;
+      run db (fun db t -> ok (Db.increment db t ~key:"acct-00003" ~delta:9)))
+    [ a; own_a ];
+  Alcotest.(check bool) "the checkpoint truncated the replica's log" true
+    (Log.first_lsn (Db.wal a) > 1);
+  List.iter
+    (fun (what, own, db) ->
+      same_image what (image own) db;
+      same (what ^ ": disk images") (disk_images own) (disk_images db))
+    [ ("source", own_src, src); ("changed replica", own_a, a); ("other replica", own_b, b) ];
+  Alcotest.(check (option int)) "the source does not see the replica's key" None
+    (Db.committed_value src "replica-only")
+
+let test_preload_rejects () =
+  let eng = Sim.create () in
+  let make ?(capacity = 64) name =
+    Db.create eng { (locking_config name) with buffer_capacity = capacity }
+  in
+  let fresh = make "fresh" and used = make "used" in
+  Db.load used [ ("x", 1) ];
+  Alcotest.check_raises "a loaded target" (Invalid_argument "Engine.preload: a site is not fresh")
+    (fun () -> Db.preload [ fresh; used ] [ ("y", 2) ]);
+  Alcotest.check_raises "another buffer capacity"
+    (Invalid_argument "Engine.preload: sites differ in buffer capacity") (fun () ->
+      Db.preload [ fresh; make ~capacity:65 "bigger" ] [ ("y", 2) ]);
+  Alcotest.(check (list string)) "nothing loaded" [] (Db.committed_keys fresh);
+  Alcotest.(check int) "no record logged" 0 (Log.last_lsn (Db.wal fresh))
+
 let test_begin_txn_opt_down_site () =
   let eng = Sim.create () in
   let db = Db.create eng (locking_config "site-a") in
@@ -1228,5 +1405,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_abort_atomicity;
           QCheck_alcotest.to_alcotest prop_occ_oracle;
           QCheck_alcotest.to_alcotest prop_key_locations;
+        ] );
+      ( "replica",
+        [
+          QCheck_alcotest.to_alcotest prop_replicated_preload;
+          Alcotest.test_case "isolation" `Quick test_replica_isolation;
+          Alcotest.test_case "rejects" `Quick test_preload_rejects;
         ] );
     ]

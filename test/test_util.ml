@@ -452,6 +452,39 @@ let prop_btree_model =
         ops;
       built_ok && !ok && agrees () && (start <> None || Btree.height t >= 3))
 
+(* A copy and its original, changed by their own interleaved inserts (of
+   fresh and present keys, so a value is replaced in place) and removes,
+   each end equal to their own model: neither sees the other's changes,
+   through a node or through the leaf chain. *)
+let prop_btree_copy =
+  QCheck2.Test.make ~name:"btree copy changes apart from its original" ~count:100
+    QCheck2.Gen.(
+      triple (int_range 0 700)
+        (list_size (int_bound 400) (pair bool (int_range 0 899)))
+        (list_size (int_bound 400) (pair bool (int_range 0 899))))
+    (fun (n, ops_t, ops_c) ->
+      let t = Btree.of_bindings (Array.init n (fun i -> (btree_key i, i))) in
+      let c = Btree.copy t in
+      let model_t = ref (StrMap.of_seq (List.to_seq (Btree.to_list t))) in
+      let model_c = ref !model_t in
+      let apply tree model side step = function
+        | true, k ->
+          Btree.insert tree (btree_key k) (side + step);
+          model := StrMap.add (btree_key k) (side + step) !model
+        | false, k ->
+          ignore (Btree.remove tree (btree_key k));
+          model := StrMap.remove (btree_key k) !model
+      in
+      for step = 0 to max (List.length ops_t) (List.length ops_c) - 1 do
+        Option.iter (apply t model_t (-1_000_000) step) (List.nth_opt ops_t step);
+        Option.iter (apply c model_c 1_000_000 step) (List.nth_opt ops_c step)
+      done;
+      let agrees tree model =
+        Btree.invariant_check tree;
+        Btree.size tree = StrMap.cardinal model && Btree.to_list tree = StrMap.bindings model
+      in
+      agrees t !model_t && agrees c !model_c)
+
 (* The bulk build's height on sizes that straddle each level boundary:
    one leaf holds 16 keys, two levels 17 leaves. *)
 let test_btree_of_bindings_heights () =
@@ -830,6 +863,7 @@ let () =
           Alcotest.test_case "range" `Quick test_btree_range;
           Alcotest.test_case "of_bindings heights" `Quick test_btree_of_bindings_heights;
           QCheck_alcotest.to_alcotest prop_btree_model;
+          QCheck_alcotest.to_alcotest prop_btree_copy;
         ] );
       ( "properties",
         qc
