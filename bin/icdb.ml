@@ -51,15 +51,6 @@ let list_cmd =
 let exp_cmd =
   let doc = "Run one experiment by id (or $(b,all))." in
   let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "With $(b,all), run the experiments on $(docv) parallel domains. Every \
-             experiment is an independent deterministically seeded simulation, so the \
-             output is byte-identical for any $(docv).")
-  in
   let smoke =
     Arg.(
       value & flag
@@ -88,9 +79,9 @@ let exp_cmd =
             "With $(b,s1) and $(b,--trace-out), keep a seeded head-sampled fraction \
              $(docv) of transactions in the streamed traces. Default 0.01.")
   in
-  let run id jobs smoke trace_out trace_sample =
+  let run id smoke trace_out trace_sample =
     if id = "all" then begin
-      print_string (Experiments.run_all ~jobs ());
+      print_string (Experiments.run_all ());
       print_newline ();
       ignore (Campaign.experiment_r1 ())
     end
@@ -113,7 +104,7 @@ let exp_cmd =
         exit 1
   in
   Cmd.v (Cmd.info "exp" ~doc)
-    Term.(const run $ id $ jobs $ smoke $ trace_out $ trace_sample)
+    Term.(const run $ id $ smoke $ trace_out $ trace_sample)
 
 let report_to_string ?(central_gc = false) ?(sharded = false) ?(paxos = false)
     (r : Runner.report) =

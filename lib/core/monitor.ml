@@ -194,7 +194,3 @@ let trips t = List.rev t.trips
 
 let first_trip t name =
   List.find_opt (fun tr -> tr.m_monitor = name) (trips t)
-
-let pp_trip fmt tr =
-  Format.fprintf fmt "%s first tripped at t=%.2f: %s" tr.m_monitor tr.m_time
-    tr.m_detail

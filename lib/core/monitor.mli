@@ -61,5 +61,3 @@ val trips : t -> trip list
 
 (** [first_trip t "money"] — the named monitor's trip, if it fired. *)
 val first_trip : t -> string -> trip option
-
-val pp_trip : Format.formatter -> trip -> unit

@@ -239,7 +239,6 @@ let acceptor_forces t =
 
 let rounds t = t.rounds
 let failovers t = t.failovers
-let group_size t = t.acceptors
 
 let install ?(failover_delay = 25.0) fed ~acceptors =
   if acceptors < 1 || acceptors mod 2 = 0 then

@@ -68,9 +68,6 @@ type t
     or out-of-range group size. *)
 val install : ?failover_delay:float -> Federation.t -> acceptors:int -> t
 
-(** Group size (2F+1) this instance was installed with. *)
-val group_size : t -> int
-
 (** [replicate t ~gid ~commit] is the leader's ballot-0 accept round: the
     calling fiber blocks until the value is durable at an acceptor quorum
     (or every acceptor has answered). Exposed for tests; protocols reach it

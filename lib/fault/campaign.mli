@@ -40,11 +40,8 @@ type outcome = {
   flight : string option;
       (** flight-recorder dump ({!Icdb_obs.Export.flight_dump} of the run's
           ring tracer); [Some] exactly when [violations <> []] — the last
-          [flight_capacity] events before things went wrong *)
+          512 events before things went wrong *)
 }
-
-(** Ring size of the flight recorder every chaos run flies with. *)
-val flight_capacity : int
 
 (** [run_plan ~protocol plan] runs the chaos workload with the plan armed,
     the flight recorder on and the online monitors ({!Icdb_core.Monitor})

@@ -46,8 +46,6 @@ val length : t -> int
     "decided". *)
 val phase_name : mlt:bool -> int -> string
 
-val n_phases : int
-
 (** Fault class of one event ("site-crash", "central-crash", "loss",
     "latency", "duplication") — the columns of the R1 table. *)
 val classify : event -> string
@@ -64,7 +62,6 @@ val fault_classes_acceptors : string list
 
 val fault_classes_sharded_acceptors : string list
 
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

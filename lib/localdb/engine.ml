@@ -945,8 +945,8 @@ let committed_keys t =
 
 let committed_total t =
   Btree.fold t.index ~init:0 ~f:(fun acc key loc ->
-      if internal_key key then acc
-      else match value_at t loc with Some v -> acc + v | None -> acc)
+      if internal_key key || loc = loc_absent then acc
+      else acc + Heap.packed_value_or t.heap loc ~default:0)
 
 (* The bulk path: the same log records, LSNs, page images and rids as one
    [insert_row] per row, but the heap places rows without rescanning older

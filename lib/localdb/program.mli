@@ -15,7 +15,6 @@ type op =
 
 type t = op list
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

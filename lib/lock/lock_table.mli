@@ -10,7 +10,8 @@
     symbol table (supplied at {!create} time and usually shared with the
     owning site or federation): the hot acquire/release path indexes a dense
     array instead of hashing strings, and object names are only resolved
-    back to strings at report/trace boundaries via {!obj_name}.
+    back to strings (with {!Icdb_util.Symbol.name} on the shared symbol
+    table) at report/trace boundaries.
 
     Semantics:
     - requests are granted immediately when compatible with all holders and
@@ -45,9 +46,6 @@ val symbols : 'mode t -> Symbol.table
 
 (** [intern t s] interns an object name against the table's symbols. *)
 val intern : 'mode t -> string -> Symbol.t
-
-(** [obj_name t obj] resolves a lock object back to its name. *)
-val obj_name : 'mode t -> Symbol.t -> string
 
 (** [acquire t ~owner ~obj ~mode ?timeout ()] blocks the calling fiber until
     the lock is granted, the optional virtual-time [timeout] expires, or a
@@ -95,8 +93,9 @@ val set_hold_time_hook : 'mode t -> (obj:Symbol.t -> duration:float -> unit) -> 
 (** Fine-grained lock-lifecycle events for the observability layer. A wait
     that is denied by deadlock detection still emits the [Wait_started] /
     [Wait_ended] pair (with [waited = 0.]) so every start has an end.
-    Events carry the interned object; listeners resolve it with {!obj_name}
-    only when they materialize a label. *)
+    Events carry the interned object; listeners resolve it with
+    {!Icdb_util.Symbol.name} on the shared symbol table only when they
+    materialize a label. *)
 type observer_event =
   | Wait_started of { owner : int; obj : Symbol.t }
   | Wait_ended of {

@@ -30,7 +30,7 @@ val span_tree : Tracer.t -> string
     written by [icdb chaos] next to a shrunken reproducer. *)
 val flight_dump : Tracer.t -> string
 
-(** Escapes a string for embedding in JSON (shared by BENCH.json writers). *)
+(** Escapes a string for embedding in JSON (shared by the JSON writers). *)
 val json_escape : string -> string
 
 (** Fixed-precision float formatting shared by the JSON writers

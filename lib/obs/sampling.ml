@@ -5,8 +5,8 @@
    against the rate. Every event kind that carries the gid (the txn span,
    its phases, branches and the decision instant) shares the transaction's
    fate, so a sampled trace always contains whole transactions — and the
-   decision is identical no matter how many domains (-j N) executed the
-   sweep, because no run-order state is involved. *)
+   decision is identical on any domain and in any run order, because no
+   run-order state is involved. *)
 
 let splitmix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in

@@ -24,8 +24,6 @@ val num_phases : int
 
 type direction = Send | Recv | Drop
 
-val direction_name : direction -> string
-
 type kind =
   | Txn of { gid : int; protocol : string }  (** global-transaction lifetime *)
   | Phase of { gid : int; phase : phase }

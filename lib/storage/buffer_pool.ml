@@ -89,6 +89,13 @@ let fetch t pid =
     Frames.replace t.frames pid frame;
     frame
 
+(* [fetch] plus the LRU tick of every access. *)
+let use t pid =
+  let frame = fetch t pid in
+  t.tick <- t.tick + 1;
+  frame.last_used <- t.tick;
+  frame
+
 (* Unpin via an explicit exception match, not [Fun.protect]: the finaliser
    pattern is not effect-safe (a fiber suspending inside [f] would leave the
    pin held if the continuation were dropped), and [Finally_raised] would
@@ -97,10 +104,8 @@ let fetch t pid =
    raise (its content may have been touched) and on a return for which
    [dirty] holds. *)
 let pinned t pid ~write ~dirty f =
-  let frame = fetch t pid in
+  let frame = use t pid in
   frame.pins <- frame.pins + 1;
-  t.tick <- t.tick + 1;
-  frame.last_used <- t.tick;
   match f frame.page with
   | v ->
     frame.pins <- frame.pins - 1;
@@ -113,6 +118,7 @@ let pinned t pid ~write ~dirty f =
 
 let with_page t pid ~write f = pinned t pid ~write ~dirty:(fun _ -> true) f
 let with_page_opt t pid f = pinned t pid ~write:true ~dirty:Option.is_some f
+let unpinned t pid = (use t pid).page
 
 (* Reads the fit where the page's current image lives, without a pin, an
    LRU tick or a hit/miss count: a resident frame may be newer than its

@@ -44,6 +44,12 @@ val with_page : t -> Disk.page_id -> write:bool -> (Page.t -> 'a) -> 'a
     returns [None] does not make it a write-back candidate. *)
 val with_page_opt : t -> Disk.page_id -> (Page.t -> 'a option) -> 'a option
 
+(** [unpinned t pid] is the page [with_page t pid ~write:false] would pass
+    to its function, with the same hit or miss, eviction and LRU tick, but
+    no pin and no closure: the next call into the pool may evict it, so read
+    it before then. For a read that allocates nothing. *)
+val unpinned : t -> Disk.page_id -> Page.t
+
 (** [free_space t pid] is {!Page.free_space} of the page's current image:
     the resident frame's when the page is cached, else the disk's
     ({!Disk.free_space}). Free of side effects: no pin, no LRU tick, no

@@ -140,6 +140,9 @@ let read t rid =
 let value t rid =
   Buffer_pool.with_page t.pool rid.page ~write:false (fun page -> Page.value page ~slot:rid.slot)
 
+let packed_value_or t loc ~default =
+  Page.value_or (Buffer_pool.unpinned t.pool (loc lsr 16)) ~slot:(loc land 0xffff) ~default
+
 let update t ~lsn rid ~value =
   Buffer_pool.with_page t.pool rid.page ~write:true (fun page ->
       match Page.read page ~slot:rid.slot with

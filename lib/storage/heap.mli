@@ -67,6 +67,11 @@ val read : t -> rid -> (string * int) option
     ({!Page.value}). *)
 val value : t -> rid -> int option
 
+(** [packed_value_or t loc ~default] is [value t (unpack loc)] without the
+    option ([default] for a dead record), through the same pool access and
+    with no allocation: for summing many records. *)
+val packed_value_or : t -> int -> default:int -> int
+
 (** [update t ~lsn rid ~value] overwrites the record's value in place.
     [false] if the rid is dead. *)
 val update : t -> lsn:int64 -> rid -> value:int -> bool

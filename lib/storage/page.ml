@@ -45,9 +45,11 @@ let is_live t slot = slot >= 0 && slot < slot_count t && slot_off t slot <> 0
 let read t ~slot =
   if not (is_live t slot) then None else Some (Bytes.sub t.b (slot_off t slot) (slot_len t slot))
 
-let value t ~slot =
-  if not (is_live t slot) then None
-  else Some (Int64.to_int (Bytes.get_int64_be t.b (slot_off t slot + slot_len t slot - 8)))
+let value_or t ~slot ~default =
+  if not (is_live t slot) then default
+  else Int64.to_int (Bytes.get_int64_be t.b (slot_off t slot + slot_len t slot - 8))
+
+let value t ~slot = if is_live t slot then Some (value_or t ~slot ~default:0) else None
 
 (* The key of [Record.encode]'s layout: a 2-byte length, then the bytes. *)
 let key t ~slot =

@@ -63,6 +63,10 @@ val read : t -> slot:int -> bytes option
     out-of-range slots. *)
 val value : t -> slot:int -> int option
 
+(** [value_or t ~slot ~default] is {!value} without the option: [default]
+    for dead or out-of-range slots. *)
+val value_or : t -> slot:int -> default:int -> int
+
 (** [key t ~slot] is the key of the live record in [slot], read in place:
     [fst (Record.decode payload)] without copying the payload. [None] for
     dead or out-of-range slots. *)

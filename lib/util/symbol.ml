@@ -2,10 +2,10 @@
 
    Ids are handed out in first-intern order, so for a fixed workload the
    mapping is a pure function of the access sequence: re-running the same
-   seeded simulation — or running it on another domain of a [-j N] sweep —
-   produces identical ids. Each federation (and each local database engine)
-   owns its own table; tables are never shared across domains, which makes
-   them Domain-safe without locks.
+   seeded simulation, on this domain or another, produces identical ids.
+   Each federation (and each local database engine) owns its own table;
+   tables are never shared across domains, which makes them Domain-safe
+   without locks.
 
    The reverse direction ([name]) is an array index, so resolving a symbol
    back to its string allocates nothing: the returned string is the one

@@ -1,24 +1,16 @@
-type align = Left | Right
-
 type row = Cells of string list | Separator
 
 type t = {
   title : string;
   headers : string list;
   arity : int;
-  mutable aligns : align list;
   mutable rows : row list; (* reversed *)
 }
 
 let create ~title headers =
   let arity = List.length headers in
   if arity = 0 then invalid_arg "Table.create: no columns";
-  let aligns = List.mapi (fun i _ -> if i = 0 then Left else Right) headers in
-  { title; headers; arity; aligns; rows = [] }
-
-let set_aligns t aligns =
-  if List.length aligns <> t.arity then invalid_arg "Table.set_aligns: arity mismatch";
-  t.aligns <- aligns
+  { title; headers; arity; rows = [] }
 
 let add_row t cells =
   if List.length cells <> t.arity then invalid_arg "Table.add_row: arity mismatch";
@@ -36,17 +28,16 @@ let render t =
   in
   List.iter measure rows;
   let buf = Buffer.create 1024 in
-  let pad align width s =
+  let pad i width s =
     let fill = String.make (width - String.length s) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if i = 0 then s ^ fill else fill ^ s
   in
   let emit_cells cells =
     Buffer.add_string buf "| ";
     List.iteri
       (fun i c ->
-        let align = List.nth t.aligns i in
         if i > 0 then Buffer.add_string buf " | ";
-        Buffer.add_string buf (pad align widths.(i) c))
+        Buffer.add_string buf (pad i widths.(i) c))
       cells;
     Buffer.add_string buf " |\n"
   in

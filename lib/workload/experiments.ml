@@ -966,11 +966,6 @@ let run id =
   | Some (_, _, f) -> f ()
   | None -> raise Not_found
 
-let run_all ?(jobs = 1) () =
-  (* Each experiment is an independent, deterministically seeded simulation,
-     so the registry can be farmed out to domains; concatenating in registry
-     order keeps the report byte-identical to the sequential sweep. *)
-  let tasks =
-    List.map (fun (id, _, f) () -> Printf.sprintf "[%s]\n%s" id (f ())) experiments
-  in
-  String.concat "\n" (Icdb_util.Pool.run ~jobs tasks)
+let run_all () =
+  String.concat "\n"
+    (List.map (fun (id, _, f) -> Printf.sprintf "[%s]\n%s" id (f ())) experiments)

@@ -3,8 +3,8 @@
     One entry per figure (F2-F8) and per §4.3 validation claim (V1-V7), as
     indexed in DESIGN.md §4 and EXPERIMENTS.md. Each experiment builds its
     own deterministic federation(s), runs the workload, and renders the
-    resulting trace or table as text. [dune exec bench/main.exe] prints all
-    of them; [icdb exp <id>] prints one. *)
+    resulting trace or table as text. [icdb exp all] prints all of them;
+    [icdb exp <id>] prints one. *)
 
 (** [(id, one-line description)] for every experiment, in paper order. *)
 val all : (string * string) list
@@ -13,8 +13,5 @@ val all : (string * string) list
     Raises [Not_found] for unknown ids. *)
 val run : string -> string
 
-(** Runs every experiment and concatenates the reports in registry order.
-    [jobs] (default 1) spreads the experiments over that many OCaml domains;
-    every experiment is an independent deterministically seeded simulation,
-    so the output is byte-identical for any [jobs]. *)
-val run_all : ?jobs:int -> unit -> string
+(** Runs every experiment and concatenates the reports in registry order. *)
+val run_all : unit -> string

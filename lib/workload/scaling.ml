@@ -8,8 +8,8 @@
    sustained. Virtual-time throughput is deterministic (a pure function of
    the seed, like every other lab); the wall-clock columns are measured on
    the host and vary — they are the point of the lab, not a regression
-   surface, which is why S1 lives outside [Experiments.run_all] and its
-   byte-identity harness. *)
+   surface, which is why S1 lives outside [Experiments.run_all] and the
+   byte-identity pins. *)
 
 module Sim = Icdb_sim.Engine
 module Table = Icdb_util.Table

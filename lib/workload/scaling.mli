@@ -5,8 +5,8 @@
     renders committed-txns per 1000 virtual time units alongside wall-clock
     engine events/sec. The virtual-time columns are deterministic; the wall
     columns are host measurements, which is why S1 is invoked explicitly
-    ([icdb exp s1]) and excluded from {!Experiments.run_all} and its
-    byte-identity guarantees. *)
+    ([icdb exp s1]) and excluded from {!Experiments.run_all} and the
+    byte-identity pins. *)
 
 type trace_spec = {
   ts_rate : float;

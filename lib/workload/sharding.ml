@@ -38,9 +38,8 @@ let force_time = 4.0
 
 (* The smoke grid keeps the full grid's shape (16 sites, 32 workers, same
    force time) and shrinks only the preload and the transaction count, so
-   its virtual-time rates stay comparable to the full rows — bench/diff.exe
-   compares a smoke BENCH.json against the full-run BASELINE.json under the
-   same (shards, cross) keys. *)
+   its virtual-time rates stay comparable to the full rows under the same
+   (shards, cross) keys. *)
 let config ~smoke ~shards ~cross protocol =
   {
     Runner.default with

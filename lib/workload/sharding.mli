@@ -6,8 +6,7 @@
     single central log head is the unsharded bottleneck each shard
     coordinator relieves. Unlike S1 every column is a deterministic
     virtual-time measurement, so the table is byte-stable across hosts;
-    the smoke ladder is small enough for CI and the bench harness
-    (BENCH.json's [sharding] section). *)
+    [test/identity_labs.t] pins the smoke ladder's table. *)
 
 type row = {
   sh_shards : int;

@@ -433,7 +433,9 @@ let test_deterministic_across_domains () =
   in
   let sequential = List.map export [ 7L; 8L ] in
   let parallel =
-    Icdb_util.Pool.run ~jobs:2 [ (fun () -> export 7L); (fun () -> export 8L) ]
+    let d = Domain.spawn (fun () -> export 8L) in
+    let first = export 7L in
+    [ first; Domain.join d ]
   in
   List.iter2
     (fun (t1, m1) (t2, m2) ->
@@ -470,6 +472,44 @@ let test_ring_deterministic_dump () =
     (Export.flight_dump t1) (Export.flight_dump t2);
   Alcotest.(check int) "same drop count" (Tracer.dropped t1) (Tracer.dropped t2)
 
+(* The flight-recorder budget, counted in minor words instead of wall time
+   so that it is deterministic: one fixed run with no tracer and once with
+   the 512-event ring every chaos run flies, and the extra allocation per
+   recorded event. Message instants and lock-interval completes are most
+   of the stream; recorded through the generic [instant]/[complete] path
+   each would allocate its [Span.kind] record. Measured: 1.00 words per
+   event over 10,476 events. The budget, 1.25, is that plus a 25% margin;
+   with [instant_message] on the generic path the run measured 2.37, with
+   [complete_lock] on it 1.85. *)
+let test_flight_ring_budget () =
+  let cfg =
+    {
+      Runner.default with
+      protocol = Protocol.Before;
+      n_txns = 300;
+      concurrency = 16;
+      accounts_per_site = 64;
+      zipf_theta = 0.6;
+    }
+  in
+  let words tracer =
+    let w0 = Gc.minor_words () in
+    ignore (Runner.run ?tracer cfg);
+    Gc.minor_words () -. w0
+  in
+  (* A first run takes any one-time initialisation out of the count. *)
+  ignore (words None);
+  let off = words None in
+  let ring = Tracer.create ~enabled:true ~limit:512 ~clock:(fun () -> 0.0) () in
+  let on = words (Some ring) in
+  let events = Tracer.length ring + Tracer.dropped ring in
+  let per_event = (on -. off) /. float_of_int events in
+  Alcotest.(check bool) "the ring wrapped" true (events > 512);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per recorded event (%d events), budget 1.25"
+       per_event events)
+    true (per_event <= 1.25)
+
 let sampled_stream seed =
   let b = Buffer.create 4096 in
   let sink = Icdb_obs.Sink.create ~write:(Buffer.add_string b) in
@@ -489,8 +529,9 @@ let test_sampled_stream_across_domains () =
      byte-identical run to run and across parallel domains. *)
   let sequential = List.map sampled_stream [ 7L; 8L ] in
   let parallel =
-    Icdb_util.Pool.run ~jobs:2
-      [ (fun () -> sampled_stream 7L); (fun () -> sampled_stream 8L) ]
+    let d = Domain.spawn (fun () -> sampled_stream 8L) in
+    let first = sampled_stream 7L in
+    [ first; Domain.join d ]
   in
   List.iter2
     (fun s p -> Alcotest.(check string) "sampled stream identical across domains" s p)
@@ -540,6 +581,7 @@ let () =
           Alcotest.test_case "identical across domains" `Quick
             test_deterministic_across_domains;
           Alcotest.test_case "ring dump deterministic" `Quick test_ring_deterministic_dump;
+          Alcotest.test_case "flight ring budget" `Quick test_flight_ring_budget;
           Alcotest.test_case "sampled stream across domains" `Quick
             test_sampled_stream_across_domains;
         ] );

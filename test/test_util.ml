@@ -5,7 +5,6 @@ module Btree = Icdb_util.Btree
 module Zipf = Icdb_util.Zipf
 module Stats = Icdb_util.Stats
 module Table = Icdb_util.Table
-module Pool = Icdb_util.Pool
 module Strtbl = Icdb_util.Strtbl
 module Gid_store = Icdb_util.Gid_store
 
@@ -660,64 +659,6 @@ let test_gid_store_rejects_negative () =
   rejects "bool find_opt" (fun () -> Gid_store.Bool.find_opt bools min_int);
   Alcotest.(check int) "nothing stored" 0 (Gid_store.Bool.length bools)
 
-(* --- Pool --- *)
-
-let test_pool_preserves_order () =
-  List.iter
-    (fun jobs ->
-      let tasks = List.init 50 (fun i () -> i * i) in
-      Alcotest.(check (list int))
-        (Printf.sprintf "results in task order (jobs=%d)" jobs)
-        (List.init 50 (fun i -> i * i))
-        (Pool.run ~jobs tasks))
-    [ 1; 2; 4; 64 ]
-
-let test_pool_jobs_one_inline () =
-  (* jobs <= 1 must run on the calling domain, in order: observable through
-     sequenced side effects. *)
-  let log = ref [] in
-  let tasks = List.init 5 (fun i () -> log := i :: !log; i) in
-  Alcotest.(check (list int)) "results" [ 0; 1; 2; 3; 4 ] (Pool.run ~jobs:1 tasks);
-  Alcotest.(check (list int)) "sequential effects" [ 4; 3; 2; 1; 0 ] !log;
-  Alcotest.(check (list int)) "empty task list" [] (Pool.run ~jobs:1 [])
-
-let test_pool_propagates_exception () =
-  List.iter
-    (fun jobs ->
-      let tasks =
-        List.init 8 (fun i () -> if i = 3 then failwith "task 3 failed" else i)
-      in
-      Alcotest.check_raises
-        (Printf.sprintf "first failure re-raised (jobs=%d)" jobs)
-        (Failure "task 3 failed")
-        (fun () -> ignore (Pool.run ~jobs tasks)))
-    [ 1; 4 ];
-  (* With several failures, the lowest-indexed one wins deterministically. *)
-  let tasks = List.init 8 (fun i () -> if i >= 2 then failwith (string_of_int i) else i) in
-  Alcotest.check_raises "lowest index wins" (Failure "2") (fun () ->
-      ignore (Pool.run ~jobs:4 tasks))
-
-let test_pool_more_jobs_than_tasks () =
-  Alcotest.(check (list int)) "jobs > tasks" [ 7 ] (Pool.run ~jobs:16 [ (fun () -> 7) ])
-
-(* A long-lived pool parks between batches and survives a failed one. *)
-let test_pool_persistent_batches () =
-  let pool = Pool.create ~size:3 in
-  Alcotest.(check int) "size" 3 (Pool.size pool);
-  Alcotest.(check (list int)) "first batch in order"
-    (List.init 20 (fun i -> i * i))
-    (Pool.exec pool (List.init 20 (fun i () -> i * i)));
-  Alcotest.(check (list int)) "workers reused for a second batch"
-    (List.init 7 succ)
-    (Pool.exec pool (List.init 7 (fun i () -> i + 1)));
-  Alcotest.check_raises "lowest-indexed failure wins" (Failure "2") (fun () ->
-      ignore
-        (Pool.exec pool
-           (List.init 6 (fun i () -> if i >= 2 then failwith (string_of_int i) else i))));
-  Alcotest.(check (list int)) "pool survives a failed batch" [ 9 ]
-    (Pool.exec pool [ (fun () -> 9) ]);
-  Pool.shutdown pool
-
 (* --- Symbol interner --- *)
 
 module Symbol = Icdb_util.Symbol
@@ -839,14 +780,6 @@ let () =
         ] );
       ( "gid store",
         [ Alcotest.test_case "negative gid rejected" `Quick test_gid_store_rejects_negative ] );
-      ( "pool",
-        [
-          Alcotest.test_case "preserves order" `Quick test_pool_preserves_order;
-          Alcotest.test_case "jobs=1 runs inline" `Quick test_pool_jobs_one_inline;
-          Alcotest.test_case "exception propagation" `Quick test_pool_propagates_exception;
-          Alcotest.test_case "more jobs than tasks" `Quick test_pool_more_jobs_than_tasks;
-          Alcotest.test_case "persistent batches" `Quick test_pool_persistent_batches;
-        ] );
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
