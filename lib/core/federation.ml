@@ -59,7 +59,7 @@ type t = {
   by_name : Site.t Strtbl.t;
   syms : Symbol.table;
       (* federation-level interner: global-CC and L1 lock objects; one per
-         federation, so parallel sweep domains never share a table *)
+         federation, so no two federations share a table *)
   trace : Trace.t;
   registry : Registry.t;
   tracer : Tracer.t;
@@ -166,15 +166,13 @@ let lock_handler t ~table ~names =
         | `Deadlock -> deadlock_c
         | `Cancelled -> cancelled_c);
       if Tracer.enabled t.tracer then
-        Tracer.complete_lock t.tracer ~actor:table
-          ~start:(Sim.now t.engine -. waited)
-          ~wait:true ~table ~obj:(Symbol.name names obj)
+        Tracer.complete_lock t.tracer ~actor:table ~dur:waited ~wait:true ~table
+          ~obj:(Symbol.name names obj)
     | Lock.Released { obj; held; _ } ->
       Registry.observe hold_h held;
       if Tracer.enabled t.tracer then
-        Tracer.complete_lock t.tracer ~actor:table
-          ~start:(Sim.now t.engine -. held)
-          ~wait:false ~table ~obj:(Symbol.name names obj)
+        Tracer.complete_lock t.tracer ~actor:table ~dur:held ~wait:false ~table
+          ~obj:(Symbol.name names obj)
 
 let observe_site t site_name site =
   let db = Site.db site in

@@ -4,8 +4,8 @@ type clazz = string
 
 (* Optional per-instance memo: commutativity and combination answers keyed
    by the packed pair of interned class ids. Only {!memoized} instances
-   carry one — the shared module-level relations stay immutable, so they
-   remain safe to share across the [-j] sweep's domains. *)
+   carry one, and each federation makes its own; the shared module-level
+   relations stay immutable, so every federation can read them. *)
 type memo = {
   syms : Symbol.table;
   commute_memo : (int, bool) Hashtbl.t;

@@ -338,22 +338,23 @@ let instant_message t ~actor ~label ~(direction : Span.direction) =
     | _ -> instant t ~actor (Span.Message { label; direction })
   end
 
-let complete_lock t ~actor ~start ~wait ~table ~obj =
+let complete_lock t ~actor ~dur ~wait ~table ~obj =
   if t.enabled then begin
     match (t.ring, t.sink, t.sampler) with
     | Some r, None, None ->
       if t.store then begin
         let i = ring_pos t in
         let ib = 4 * i and fb = 2 * i and sb = 3 * i in
+        let stop = t.clock () in
         Array.unsafe_set r.r_str sb actor;
         Array.unsafe_set r.r_str (sb + 1) table;
         Array.unsafe_set r.r_str (sb + 2) obj;
-        Array.unsafe_set r.r_flt fb start;
-        Array.unsafe_set r.r_flt (fb + 1) (t.clock ());
+        Array.unsafe_set r.r_flt fb (stop -. dur);
+        Array.unsafe_set r.r_flt (fb + 1) stop;
         Array.unsafe_set r.r_int ib (tag_complete lor ((if wait then 3 else 4) lsl 2))
       end
     | _ ->
-      complete t ~actor ~start
+      complete t ~actor ~start:(t.clock () -. dur)
         (if wait then Span.Lock_wait { table; obj } else Span.Lock_hold { table; obj })
   end
 

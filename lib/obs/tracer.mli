@@ -84,14 +84,16 @@ val instant : t -> actor:string -> Span.kind -> unit
     [Span.Message] and {!complete} with [Span.Lock_wait]/[Span.Lock_hold]
     ([wait] selects which), but the kind payload is passed as primitive
     arguments, so the flight-recorder configuration (ring, no sink, no
-    sampler) stores it without allocating the kind record. *)
+    sampler) stores it without allocating the kind record. A lock
+    interval is given by its length [dur] and ends now on the tracer's
+    clock, so the caller computes (and boxes) no start time. *)
 val instant_message :
   t -> actor:string -> label:string -> direction:Span.direction -> unit
 
 val complete_lock :
   t ->
   actor:string ->
-  start:float ->
+  dur:float ->
   wait:bool ->
   table:string ->
   obj:string ->

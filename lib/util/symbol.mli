@@ -1,8 +1,8 @@
 (** Deterministic string<->int interner.
 
     Ids are dense ints assigned in first-intern order, so a fixed seeded
-    workload always produces the same mapping — including when experiments
-    run on parallel domains, each with its own table. Downstream hot
+    workload always produces the same mapping: each federation or
+    simulation owns its table, and no other run's interning shifts it. Downstream hot
     structures (lock tables, read/write sets, conflict indexes) key on the
     int and resolve back to the original string only at report/export
     boundaries. *)

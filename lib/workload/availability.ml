@@ -8,10 +8,11 @@ module Paxos = Icdb_core.Paxos_commit
 (* A1 — availability lab: what Paxos Commit buys and what it costs.
 
    Part A prices the replication on the fault-free path with the O1
-   fixed-spec machinery: the same pre-generated transactions run with a
-   single-coordinator decision log ([acceptors = 1]) and with a 2F+1
-   acceptor group ([acceptors = 3]); outcomes are asserted identical, so
-   the msgs/commit and forces/commit deltas are pure protocol overhead.
+   fixed-spec lab ([Runner.run ~fixed_specs:true]): the same pre-generated
+   transactions run with a single-coordinator decision log
+   ([acceptors = 1]) and with a 2F+1 acceptor group ([acceptors = 3]);
+   outcomes are asserted identical, so the msgs/commit and forces/commit
+   deltas are pure protocol overhead.
 
    Part B measures the blocking window 2PC is infamous for: the same
    workload, same seed, one scripted leader crash at the "voted" instant
@@ -143,26 +144,26 @@ let run_a1 ?(smoke = false) ?(seed = 42L) () =
   List.iter
     (fun protocol ->
       let run acceptors =
-        Overhead.run
-          { Overhead.default with protocol; seed; n_txns = n_txns_a; acceptors }
+        Runner.run ~fixed_specs:true
+          { Runner.fixed_spec_default with protocol; seed; n_txns = n_txns_a; acceptors }
       in
       let base = run 1 in
       let paxos = run 3 in
-      let identical = base.Overhead.outcomes = paxos.Overhead.outcomes in
+      let identical = base.outcomes = paxos.outcomes in
       if not identical then outcomes_diverged := true;
-      let per_commit (r : Overhead.result) n =
+      let per_commit (r : Runner.report) n =
         if r.committed > 0 then float_of_int n /. float_of_int r.committed
         else 0.0
       in
-      let row (r : Overhead.result) acceptors =
+      let row (r : Runner.report) acceptors =
+        let decision_forces = r.central_log_forces + r.paxos_acceptor_forces in
         Table.add_row tbl_a
           [
             Protocol.obs_name protocol;
             string_of_int acceptors;
             Table.fmt_float ~decimals:2 r.messages_per_committed;
-            Table.fmt_float ~decimals:2
-              (per_commit r (r.central_log_forces + r.paxos_acceptor_forces));
-            Table.fmt_float ~decimals:2 r.log_forces_per_commit;
+            Table.fmt_float ~decimals:2 (per_commit r decision_forces);
+            Table.fmt_float ~decimals:2 (per_commit r (r.log_forces + decision_forces));
             string_of_int r.committed;
             (if identical then "identical" else "DIVERGED");
           ]

@@ -2,8 +2,9 @@
     coordinator.
 
     Part A prices the replicated decision log on the fault-free path (the
-    O1 fixed-spec machinery, so outcomes are asserted identical and the
-    msgs/commit and forces/commit deltas are pure protocol overhead).
+    O1 fixed-spec lab, [Runner.run ~fixed_specs:true], so outcomes are
+    asserted identical and the msgs/commit and forces/commit deltas are
+    pure protocol overhead).
     Part B scripts the classic 2PC blocking scenario — the leader dies at
     a victim transaction's "voted" instant with one acceptor site down
     (F = 1 of a 2F+1 = 3 group) — and measures the victim's in-doubt

@@ -867,22 +867,23 @@ let o1 () =
       List.iter
         (fun window ->
           let r =
-            Overhead.run
+            Runner.run ~fixed_specs:true
               {
-                Overhead.default with
+                Runner.fixed_spec_default with
                 protocol;
                 msg_batch_window = window;
                 central_gc_window = window;
                 group_commit_window = window;
               }
           in
+          let forces = r.log_forces + r.central_log_forces + r.paxos_acceptor_forces in
           Table.add_row table
             [
               Protocol.name protocol;
               (match window with None -> "off" | Some w -> fmt w);
               fmti r.committed;
               fmt r.messages_per_committed;
-              fmt r.log_forces_per_commit;
+              fmt (float_of_int forces /. float_of_int r.committed);
               fmti r.central_log_forces;
               fmt r.batch_occupancy_mean;
               fmt r.throughput;

@@ -146,6 +146,7 @@ type report = {
   paxos_rounds : int;
   paxos_acceptor_forces : int;
   paxos_failovers : int;
+  outcomes : bool array;
 }
 
 let site_name i = Printf.sprintf "site-%d" i
@@ -316,6 +317,68 @@ let mlt_spec cfg names fed rng zipf =
   in
   { Global.mlt_gid = gid; actions; abort_after }
 
+(* The fixed-spec lab (O1, A1a; see [fixed_specs] in the interface). Its
+   draw order is not [flat_spec]'s/[mlt_spec]'s: every transaction draws
+   its sites, deltas and intended-abort flag first and the same number of
+   values after, so all six protocols commit and abort the same
+   transactions. Every spec holds balanced increments, which commute
+   locally, globally and at L1. *)
+let fixed_spec_default =
+  {
+    default with
+    protocol = Protocol.Two_phase;
+    accounts_per_site = 16;
+    n_txns = 120;
+    concurrency = 12;
+    p_intended_abort = 0.15;
+    lock_wait_timeout = None;
+  }
+
+type fixed_spec = Flat of Global.spec | Mlt of Global.mlt_spec
+
+let fixed_specs_of cfg names fed zipf =
+  let rng = Rng.create cfg.seed in
+  let branches_n = min cfg.branches_per_txn cfg.n_sites in
+  let n_ops = branches_n * cfg.ops_per_branch in
+  Array.init cfg.n_txns (fun _ ->
+      let gid = Federation.fresh_gid fed in
+      let sites = Rng.sample_distinct rng ~n:branches_n ~bound:cfg.n_sites in
+      let deltas = balanced_deltas rng ~n:n_ops in
+      let intended_abort = Rng.bernoulli rng cfg.p_intended_abort in
+      match cfg.protocol with
+      | Protocol.Before_mlt ->
+        let actions =
+          List.concat
+            (List.mapi
+               (fun bi site_idx ->
+                 List.init cfg.ops_per_branch (fun oi ->
+                     let site = names.ns_sites.(site_idx) in
+                     let account = names.ns_accounts.(Zipf.sample zipf rng) in
+                     let delta = deltas.((bi * cfg.ops_per_branch) + oi) in
+                     if delta >= 0 then Action.deposit ~site ~account delta
+                     else Action.withdraw ~site ~account (-delta)))
+               sites)
+        in
+        let abort_after =
+          if intended_abort then Some (Rng.int rng (List.length actions)) else None
+        in
+        Mlt { Global.mlt_gid = gid; actions; abort_after }
+      | _ ->
+        let abort_branch = if intended_abort then Some (Rng.int rng branches_n) else None in
+        let branches =
+          List.mapi
+            (fun bi site_idx ->
+              let program =
+                List.init cfg.ops_per_branch (fun oi ->
+                    let account = names.ns_accounts.(Zipf.sample zipf rng) in
+                    Program.Increment (account, deltas.((bi * cfg.ops_per_branch) + oi)))
+              in
+              Global.branch ~vote_commit:(abort_branch <> Some bi)
+                ~site:names.ns_sites.(site_idx) program)
+            sites
+        in
+        Flat { Global.gid; branches })
+
 (* Per-(protocol, phase) latency summary, canonical phase order. *)
 let phase_breakdown registry ~protocol =
   let of_protocol =
@@ -349,7 +412,7 @@ let check_config cfg =
          cfg.n_sites cfg.acceptors)
   else Ok ()
 
-let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
+let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain ?(fixed_specs = false) cfg =
   Result.iter_error (fun msg -> invalid_arg ("Runner.run: " ^ msg)) (check_config cfg);
   let engine = Sim.create () in
   (* A caller-supplied tracer predates this engine; point it at our clock. *)
@@ -390,6 +453,9 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
   Option.iter (fun f -> f engine fed) on_setup;
   let master_rng = Rng.create cfg.seed in
   let zipf = Zipf.create ~n:cfg.accounts_per_site ~theta:cfg.zipf_theta in
+  (* A fixed-spec run draws its whole workload here, before any fiber starts. *)
+  let specs = if fixed_specs then fixed_specs_of cfg names fed zipf else [||] in
+  let outcomes = Array.make (Array.length specs) false in
   let issued = ref 0 in
   let finished_at = ref 0.0 in
   let stop_crashes = ref false in
@@ -409,25 +475,33 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
             loop ()))
       fed.sites;
   (* Workers. *)
+  let run_mlt spec =
+    Icdb_core.Commit_before_mlt.run ~action_retries:cfg.mlt_action_retries fed spec
+  in
   let worker rng () =
+    let run_one i =
+      if fixed_specs then
+        outcomes.(i) <-
+          Global.is_committed
+            (match specs.(i) with
+            | Flat s -> Protocol.run_flat cfg.protocol fed s
+            | Mlt s -> run_mlt s)
+      else
+        match cfg.protocol with
+        | Protocol.Before_mlt -> ignore (run_mlt (mlt_spec cfg names fed rng zipf))
+        | flat -> ignore (Protocol.run_flat flat fed (flat_spec cfg names fed rng zipf))
+    in
     let rec loop () =
       if !issued < cfg.n_txns then begin
+        let i = !issued in
         incr issued;
-        (let run_one () =
-           match cfg.protocol with
-           | Protocol.Before_mlt ->
-             ignore
-               (Icdb_core.Commit_before_mlt.run ~action_retries:cfg.mlt_action_retries fed
-                  (mlt_spec cfg names fed rng zipf))
-           | flat -> ignore (Protocol.run_flat flat fed (flat_spec cfg names fed rng zipf))
-         in
-         match on_txn_exn with
-         | None -> run_one ()
-         | Some handler -> (
-           (* Injected central crashes abandon the protocol run mid-flight;
-              the handler decides whether the worker survives to issue the
-              next transaction. *)
-           try run_one () with e when handler e -> ()));
+        (match on_txn_exn with
+        | None -> run_one i
+        | Some handler -> (
+          (* Injected central crashes abandon the protocol run mid-flight;
+             the handler decides whether the worker survives to issue the
+             next transaction. *)
+          try run_one i with e when handler e -> ()));
         loop ()
       end
     in
@@ -521,4 +595,5 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
       | None -> 0);
     paxos_failovers =
       (match paxos with Some p -> Icdb_core.Paxos_commit.failovers p | None -> 0);
+    outcomes;
   }

@@ -85,6 +85,11 @@ type config = {
 
 val default : config
 
+(** The fixed-spec lab's base config (O1, A1a): 2PC, 4 sites of 16
+    accounts, 120 transactions from 12 workers, p(abort) = 0.15, no local
+    lock wait bound. Run it with [~fixed_specs:true]. *)
+val fixed_spec_default : config
+
 type report = {
   elapsed : float;  (** virtual time until the last worker finished *)
   started : int;
@@ -143,6 +148,9 @@ type report = {
   paxos_acceptor_forces : int;
       (** acceptor log forces across the groups (promises + votes) *)
   paxos_failovers : int;  (** new-leader elections triggered *)
+  outcomes : bool array;
+      (** each transaction's committed flag, in gid order, for a
+          [~fixed_specs] run; [[||]] for a drawn run *)
 }
 
 (** [check_config config] is [Ok ()] for a configuration {!run} accepts,
@@ -176,12 +184,29 @@ val check_config : config -> (unit, string) result
     - [on_drain] runs as a fresh fiber after the workload settled and every
       site was restarted, with the engine drained again afterwards — the
       place for {!Icdb_core.Central_recovery.recover} and invariant probes
-      that need the simulated clock. *)
+      that need the simulated clock.
+
+    [fixed_specs] (default [false]) selects the workload. A drawn run
+    draws each transaction's spec inside the worker fibers, so the
+    workload itself depends on the execution interleaving: fine for
+    throughput sweeps, useless for comparing {e the same transactions}
+    under different batching windows. A fixed-spec run draws the whole
+    spec list from [seed] (sites, deltas, intended aborts, gids) before
+    any fiber starts, and the workers drain it in gid order. The specs are
+    balanced increments on commuting lock modes, so with no failure
+    injection every commit/abort decision is a pure function of its spec:
+    batching windows, acceptors and worker counts may change timing and
+    message counts, never [outcomes]. The equivalence property tests
+    assert exactly that, and it is what makes O1's overhead-vs-window
+    table an apples-to-apples comparison. A fixed-spec run ignores
+    [use_increments], [read_fraction] and [cross_shard_fraction]; start
+    from {!fixed_spec_default}. *)
 val run :
   ?registry:Icdb_obs.Registry.t ->
   ?tracer:Icdb_obs.Tracer.t ->
   ?on_setup:(Icdb_sim.Engine.t -> Icdb_core.Federation.t -> unit) ->
   ?on_txn_exn:(exn -> bool) ->
   ?on_drain:(unit -> unit) ->
+  ?fixed_specs:bool ->
   config ->
   report

@@ -16,7 +16,6 @@ module Global = Icdb_core.Global
 module Program = Icdb_localdb.Program
 module Tpc = Icdb_core.Two_phase_commit
 module Runner = Icdb_workload.Runner
-module Overhead = Icdb_workload.Overhead
 module Protocol = Icdb_workload.Protocol
 module Availability = Icdb_workload.Availability
 module Campaign = Icdb_fault.Campaign
@@ -435,9 +434,9 @@ let prop_paxos_outcomes_equal_single_coordinator =
   QCheck2.Test.make ~name:"paxos outcomes equal single-coordinator outcomes"
     ~count:25 ~print gen (fun (protocol, seed) ->
       let run acceptors =
-        Overhead.run
+        Runner.run ~fixed_specs:true
           {
-            Overhead.default with
+            Runner.fixed_spec_default with
             protocol;
             seed = Int64.of_int seed;
             n_txns = 40;
@@ -446,13 +445,13 @@ let prop_paxos_outcomes_equal_single_coordinator =
       in
       let base = run 1 in
       let paxos = run 3 in
-      if base.Overhead.outcomes <> paxos.Overhead.outcomes then
+      if base.outcomes <> paxos.outcomes then
         QCheck2.Test.fail_reportf "outcomes diverged";
-      if not (paxos.Overhead.money_conserved && paxos.Overhead.serializable) then
+      if not (paxos.money_conserved && paxos.serializable) then
         QCheck2.Test.fail_reportf "paxos run broke an invariant";
-      if base.Overhead.paxos_acceptor_forces <> 0 then
+      if base.paxos_acceptor_forces <> 0 then
         QCheck2.Test.fail_reportf "acceptors=1 forced an acceptor log";
-      if paxos.Overhead.committed > 0 && paxos.Overhead.paxos_acceptor_forces = 0
+      if paxos.committed > 0 && paxos.paxos_acceptor_forces = 0
       then QCheck2.Test.fail_reportf "acceptors=3 never forced an acceptor log";
       true)
 
