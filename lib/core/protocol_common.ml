@@ -18,6 +18,18 @@ let commit_marker ~gid = "__cm:" ^ string_of_int gid
 let undo_marker ~gid ~seq = "__um:" ^ string_of_int gid ^ ":" ^ string_of_int seq
 let action_marker ~gid ~seq = "__am:" ^ string_of_int gid ^ ":" ^ string_of_int seq
 
+let marker_of_key key =
+  let pair g s =
+    match (int_of_string_opt g, int_of_string_opt s) with
+    | Some g, Some s -> Some (g, s)
+    | _ -> None
+  in
+  match String.split_on_char ':' key with
+  | [ "__cm"; g ] -> Option.map (fun g -> `Cm g) (int_of_string_opt g)
+  | [ "__um"; g; s ] -> Option.map (fun gs -> `Um gs) (pair g s)
+  | [ "__am"; g; s ] -> Option.map (fun gs -> `Am gs) (pair g s)
+  | _ -> None
+
 let mode_of_intent = function
   | `Read -> Mode.Shared
   | `Increment -> Mode.Increment

@@ -28,6 +28,11 @@ val undo_marker : gid:int -> seq:int -> string
     and central recovery see which of its actions committed. *)
 val action_marker : gid:int -> seq:int -> string
 
+(** [marker_of_key key] reads back a key the three builders above made:
+    [`Cm gid], [`Um (gid, seq)] or [`Am (gid, seq)]; [None] for any other
+    key. *)
+val marker_of_key : string -> [ `Cm of int | `Um of int * int | `Am of int * int ] option
+
 (** {2 The flat commit skeleton} *)
 
 (** Where one branch's local commit falls relative to the global decision.

@@ -8,6 +8,7 @@ module Db = Icdb_localdb.Engine
 module Federation = Icdb_core.Federation
 module Central_recovery = Icdb_core.Central_recovery
 module Action_log = Icdb_core.Action_log
+module Protocol_common = Icdb_core.Protocol_common
 module Metrics = Icdb_core.Metrics
 module Monitor = Icdb_core.Monitor
 module Registry = Icdb_obs.Registry
@@ -192,20 +193,6 @@ let pp_violation ppf = function
     Format.fprintf ppf "engine not drained: %d live, %d stored events" live stored
   | Run_crashed s -> Format.fprintf ppf "run crashed: %s" s
 
-(* Protocol markers left in the committed local states, keyed by gid. *)
-let marker_of_key key =
-  match String.split_on_char ':' key with
-  | [ "__cm"; g ] -> Option.map (fun g -> `Cm g) (int_of_string_opt g)
-  | [ "__um"; g; s ] -> (
-    match (int_of_string_opt g, int_of_string_opt s) with
-    | Some g, Some s -> Some (`Um (g, s))
-    | _ -> None)
-  | [ "__am"; g; s ] -> (
-    match (int_of_string_opt g, int_of_string_opt s) with
-    | Some g, Some s -> Some (`Am (g, s))
-    | _ -> None)
-  | _ -> None
-
 (* The §3.2/§3.3 no-double-work rules, checked from the database-resident
    markers after the run has drained and the central system recovered:
 
@@ -225,7 +212,7 @@ let marker_violations (fed : Federation.t) protocol =
       let cms = ref [] and ums = ref [] and ams = ref [] in
       List.iter
         (fun key ->
-          match marker_of_key key with
+          match Protocol_common.marker_of_key key with
           | Some (`Cm g) -> cms := g :: !cms
           | Some (`Um (g, s)) -> ums := (g, s) :: !ums
           | Some (`Am (g, s)) -> ams := (g, s) :: !ams

@@ -1,136 +1,23 @@
-(* Exporters: Chrome trace-event JSON (chrome://tracing, Perfetto), a JSON
-   metrics snapshot, a Prometheus-style text dump, and a human-readable span
-   tree. All output is deterministic: times are fixed-precision, listings
-   are sorted, and no wall-clock state leaks in. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let fnum x =
-  (* Fixed precision, no exponent: deterministic and Perfetto-friendly. *)
-  if Float.is_nan x then "0" else Printf.sprintf "%.3f" x
+(* Exporters: Chrome trace-event JSON (chrome://tracing, Perfetto) through
+   {!Sink}, a JSON metrics snapshot, a Prometheus-style text dump, a
+   human-readable span tree and the flight-recorder dump. All output is
+   deterministic: times are fixed-precision, listings are sorted, and no
+   wall-clock state leaks in. *)
 
 (* --- Chrome trace-event JSON --------------------------------------------- *)
 
-let event_time = function
-  | Tracer.Begin { time; _ } | Tracer.End { time; _ } | Tracer.Instant { time; _ } -> time
-  | Tracer.Complete { stop; _ } -> stop
-
-(* Latest timestamp recorded anywhere in the trace — the time a synthetic
-   crash-truncated close is pinned to. *)
-let last_recorded tracer =
-  let last = ref 0.0 in
-  Tracer.iter tracer (fun ev -> if event_time ev > !last then last := event_time ev);
-  !last
-
-(* One virtual time unit is exported as one microsecond. Nested protocol
-   spans become async ("b"/"e") events — unlike "B"/"E" duration events they
-   tolerate the arbitrary interleaving of concurrent global transactions on
-   the same track. Lock waits/holds and outages are complete ("X") events;
-   messages, decisions and forces are instants. *)
+(* The streaming writer fed the stored trace. Declaring every actor
+   first, in order of appearance, makes the thread_name records lead the
+   file. *)
 let chrome_trace tracer =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let emit line =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf line
-  in
-  let tids = Hashtbl.create 16 in
-  let tid_order = ref [] in
-  let tid_of actor =
-    match Hashtbl.find_opt tids actor with
-    | Some n -> n
-    | None ->
-      let n = Hashtbl.length tids in
-      Hashtbl.replace tids actor n;
-      tid_order := actor :: !tid_order;
-      n
-  in
-  (* First pass: assign tids in order of appearance so metadata can lead. *)
-  Tracer.iter tracer (fun ev ->
-      match ev with
-      | Tracer.Begin { actor; _ } | Tracer.Complete { actor; _ } | Tracer.Instant { actor; _ } ->
-        ignore (tid_of actor)
-      | Tracer.End _ -> ());
-  emit "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"icdb\"}}";
-  List.iter
-    (fun actor ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           (Hashtbl.find tids actor) (json_escape actor)))
-    (List.rev !tid_order);
-  (* Async end events carry no kind of their own: remember each Begin. *)
-  let open_spans = Hashtbl.create 64 in
-  Tracer.iter tracer (fun ev ->
-      match ev with
-      | Tracer.Begin { id; actor; time; kind; parent = _ } ->
-        Hashtbl.replace open_spans id (actor, kind);
-        emit
-          (Printf.sprintf
-             "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"b\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%s}"
-             (Span.category kind) (json_escape (Span.name kind)) id
-             (Hashtbl.find tids actor) (fnum time))
-      | Tracer.End { id; time } -> (
-        match Hashtbl.find_opt open_spans id with
-        | None -> ()
-        | Some (actor, kind) ->
-          Hashtbl.remove open_spans id;
-          emit
-            (Printf.sprintf
-               "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"e\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%s}"
-               (Span.category kind) (json_escape (Span.name kind)) id
-               (Hashtbl.find tids actor) (fnum time)))
-      | Tracer.Complete { actor; start; stop; kind } ->
-        emit
-          (Printf.sprintf
-             "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s}"
-             (Span.category kind) (json_escape (Span.name kind)) (Hashtbl.find tids actor)
-             (fnum start)
-             (fnum (stop -. start)))
-      | Tracer.Instant { actor; time; kind } ->
-        emit
-          (Printf.sprintf
-             "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s}"
-             (Span.category kind) (json_escape (Span.name kind)) (Hashtbl.find tids actor)
-             (fnum time)));
-  (* Spans left open (a central crash truncated the run mid-transaction)
-     would otherwise render with no closing event and Perfetto would clip
-     the track. Close each one explicitly at the last recorded time with a
-     crash-truncated marker so the crash signature is visible. *)
-  if Hashtbl.length open_spans > 0 then begin
-    let stop = fnum (last_recorded tracer) in
-    let dangling =
-      Hashtbl.fold (fun id span acc -> (id, span) :: acc) open_spans []
-      |> List.sort compare
-    in
-    List.iter
-      (fun (id, (actor, kind)) ->
-        let tid = Hashtbl.find tids actor in
-        emit
-          (Printf.sprintf
-             "{\"cat\":\"mark\",\"name\":\"crash-truncated: %s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s}"
-             (json_escape (Span.name kind)) tid stop);
-        emit
-          (Printf.sprintf
-             "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"e\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%s}"
-             (Span.category kind) (json_escape (Span.name kind)) id tid stop))
-      dangling
-  end;
-  Buffer.add_string buf "\n]}\n";
+  let sink = Sink.create ~write:(Buffer.add_string buf) in
+  Tracer.iter tracer (function
+    | Tracer.Begin { actor; _ } | Tracer.Complete { actor; _ } | Tracer.Instant { actor; _ } ->
+      Sink.declare_actor sink actor
+    | Tracer.End _ -> ());
+  Tracer.iter tracer (Sink.on_event sink);
+  Sink.close sink;
   Buffer.contents buf
 
 (* --- JSON metrics snapshot ------------------------------------------------ *)
@@ -138,7 +25,9 @@ let chrome_trace tracer =
 let labels_json labels =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) labels)
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (Sink.json_escape k) (Sink.json_escape v))
+         labels)
   ^ "}"
 
 let metrics_json registry =
@@ -150,7 +39,7 @@ let metrics_json registry =
     (fun i ((k : Registry.key), v) ->
       Buffer.add_string buf
         (Printf.sprintf "    {\"name\":\"%s\",\"labels\":%s,\"value\":%d}%s\n"
-           (json_escape k.name) (labels_json k.labels) v
+           (Sink.json_escape k.name) (labels_json k.labels) v
            (if i < n - 1 then "," else "")))
     snap.Registry.counters;
   Buffer.add_string buf "  ],\n  \"histograms\": [\n";
@@ -160,8 +49,9 @@ let metrics_json registry =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\":\"%s\",\"labels\":%s,\"count\":%d,\"sum\":%s,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"max\":%s}%s\n"
-           (json_escape k.name) (labels_json k.labels) h.h_count (fnum h.h_sum) (fnum h.h_mean)
-           (fnum h.h_p50) (fnum h.h_p95) (fnum h.h_max)
+           (Sink.json_escape k.name) (labels_json k.labels) h.h_count (Sink.fnum h.h_sum)
+           (Sink.fnum h.h_mean)
+           (Sink.fnum h.h_p50) (Sink.fnum h.h_p95) (Sink.fnum h.h_max)
            (if i < n - 1 then "," else "")))
     snap.Registry.histograms;
   Buffer.add_string buf "  ]\n}\n";
@@ -174,7 +64,7 @@ let prom_labels labels =
   else
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (json_escape v)) labels)
+        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (Sink.json_escape v)) labels)
     ^ "}"
 
 let prometheus registry =
@@ -199,19 +89,30 @@ let prometheus registry =
         Buffer.add_string buf
           (Printf.sprintf "%s%s %s\n" k.name
              (prom_labels (k.labels @ [ ("quantile", quantile) ]))
-             (fnum value))
+             (Sink.fnum value))
       in
       q "0.5" h.h_p50;
       q "0.95" h.h_p95;
       q "1" h.h_max;
       Buffer.add_string buf
-        (Printf.sprintf "%s_sum%s %s\n" k.name (prom_labels k.labels) (fnum h.h_sum));
+        (Printf.sprintf "%s_sum%s %s\n" k.name (prom_labels k.labels) (Sink.fnum h.h_sum));
       Buffer.add_string buf
         (Printf.sprintf "%s_count%s %d\n" k.name (prom_labels k.labels) h.h_count))
     snap.Registry.histograms;
   Buffer.contents buf
 
 (* --- span tree ------------------------------------------------------------ *)
+
+let event_time = function
+  | Tracer.Begin { time; _ } | Tracer.End { time; _ } | Tracer.Instant { time; _ } -> time
+  | Tracer.Complete { stop; _ } -> stop
+
+(* Latest timestamp recorded anywhere in the trace — the time a span a
+   crash left open is pinned to. *)
+let last_recorded tracer =
+  let last = ref 0.0 in
+  Tracer.iter tracer (fun ev -> if event_time ev > !last then last := event_time ev);
+  !last
 
 let span_tree tracer =
   let spans = Tracer.spans tracer in

@@ -3,14 +3,11 @@
     See OBSERVABILITY.md for the formats and how to open a trace in
     Perfetto. *)
 
-(** Chrome trace-event JSON ([{"traceEvents": [...]}]): protocol spans as
-    async "b"/"e" pairs (they overlap freely on one track), lock waits /
-    holds / outages as complete "X" events, messages / decisions / WAL
-    forces as instants. One virtual time unit is exported as 1 µs. Spans a
-    crash left open are closed synthetically at the last recorded time,
-    next to a [crash-truncated] marker instant, so Perfetto shows the
-    crash signature instead of clipping the track. Open at
-    [https://ui.perfetto.dev] or [chrome://tracing]. *)
+(** Chrome trace-event JSON of the stored events: the {!Sink} writer fed
+    by [Tracer.iter], with every actor's thread_name record up front. A
+    sink attached to an unbounded tracer while it records writes the same
+    records in the same order, but names each actor where it first
+    appears. Open at [https://ui.perfetto.dev] or [chrome://tracing]. *)
 val chrome_trace : Tracer.t -> string
 
 (** JSON snapshot of every counter and histogram, sorted. *)
@@ -29,10 +26,3 @@ val span_tree : Tracer.t -> string
     retained event, oldest first — the flight-recorder forensics format
     written by [icdb chaos] next to a shrunken reproducer. *)
 val flight_dump : Tracer.t -> string
-
-(** Escapes a string for embedding in JSON (shared by the JSON writers). *)
-val json_escape : string -> string
-
-(** Fixed-precision float formatting shared by the JSON writers
-    ([%.3f]; NaN renders as [0]). *)
-val fnum : float -> string

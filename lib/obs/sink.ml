@@ -1,13 +1,28 @@
-(* Streaming Chrome-trace writer: the incremental counterpart of
-   {!Export.chrome_trace}. Events are formatted and handed to [write] as
-   they are recorded, so a million-account run can trace to disk while the
-   in-process state stays O(open spans + actors): a tid table, the
-   open-span table End events need, and whatever the channel buffers.
+(* The Chrome trace-event writer. Events are formatted and handed to
+   [write] as they arrive, so a million-account run can trace to disk
+   while the in-process state stays O(open spans + actors): a tid table,
+   the open-span table End events need, and whatever the channel buffers.
+   The batch exporter feeds it a stored trace after declaring every actor,
+   so there the thread_name records lead the file. *)
 
-   The one format difference from the batch exporter is metadata placement:
-   thread_name records are emitted when an actor is first seen instead of
-   all up front (the batch exporter can afford a first pass; a stream
-   cannot). The trace-event spec allows "M" records anywhere. *)
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let fnum x =
+  (* Fixed precision, no exponent: deterministic and Perfetto-friendly. *)
+  if Float.is_nan x then "0" else Printf.sprintf "%.3f" x
 
 type t = {
   write : string -> unit;
@@ -55,10 +70,33 @@ let tid_of t actor =
     emit t
       (Printf.sprintf
          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-         n (Export.json_escape actor));
+         n (json_escape actor));
     n
 
+let declare_actor t actor = ignore (tid_of t actor)
+
 let bump_time t time = if time > t.last_time then t.last_time <- time
+
+(* The three event lines. Async "b"/"e" pairs carry the span's id;
+   unlike "B"/"E" duration events they tolerate the arbitrary interleaving
+   of concurrent global transactions on one track. *)
+let async t ph kind id tid ts =
+  emit t
+    (Printf.sprintf
+       "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"%c\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%s}"
+       (Span.category kind) (json_escape (Span.name kind)) ph id tid ts)
+
+let instant t ~cat ~name tid ts =
+  emit t
+    (Printf.sprintf
+       "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s}"
+       cat (json_escape name) tid ts)
+
+let complete t kind tid ~start ~stop =
+  emit t
+    (Printf.sprintf
+       "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s}"
+       (Span.category kind) (json_escape (Span.name kind)) tid (fnum start) (fnum (stop -. start)))
 
 let on_event t (ev : Tracer.event) =
   if not t.closed then begin
@@ -67,48 +105,27 @@ let on_event t (ev : Tracer.event) =
     | Tracer.Begin { id; actor; time; kind; parent = _ } ->
       bump_time t time;
       Hashtbl.replace t.open_spans id (actor, kind);
-      emit t
-        (Printf.sprintf
-           "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"b\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%s}"
-           (Span.category kind)
-           (Export.json_escape (Span.name kind))
-           id (tid_of t actor) (Export.fnum time))
+      async t 'b' kind id (tid_of t actor) (fnum time)
     | Tracer.End { id; time } -> (
       bump_time t time;
       match Hashtbl.find_opt t.open_spans id with
       | None -> t.events <- t.events - 1 (* End without a Begin: dropped *)
       | Some (actor, kind) ->
         Hashtbl.remove t.open_spans id;
-        emit t
-          (Printf.sprintf
-             "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"e\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%s}"
-             (Span.category kind)
-             (Export.json_escape (Span.name kind))
-             id (tid_of t actor) (Export.fnum time)))
+        async t 'e' kind id (tid_of t actor) (fnum time))
     | Tracer.Complete { actor; start; stop; kind } ->
       bump_time t stop;
-      emit t
-        (Printf.sprintf
-           "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s}"
-           (Span.category kind)
-           (Export.json_escape (Span.name kind))
-           (tid_of t actor) (Export.fnum start)
-           (Export.fnum (stop -. start)))
+      complete t kind (tid_of t actor) ~start ~stop
     | Tracer.Instant { actor; time; kind } ->
       bump_time t time;
-      emit t
-        (Printf.sprintf
-           "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s}"
-           (Span.category kind)
-           (Export.json_escape (Span.name kind))
-           (tid_of t actor) (Export.fnum time))
+      instant t ~cat:(Span.category kind) ~name:(Span.name kind) (tid_of t actor) (fnum time)
   end
 
 let close t =
   if not t.closed then begin
-    (* Same crash-truncation discipline as the batch exporter: close every
-       span still open at the last recorded time, marker first. *)
-    let stop = Export.fnum t.last_time in
+    (* Close every span a crash left open at the last recorded time, marker
+       first, so Perfetto does not clip the track. *)
+    let stop = fnum t.last_time in
     let dangling =
       Hashtbl.fold (fun id span acc -> (id, span) :: acc) t.open_spans []
       |> List.sort compare
@@ -116,17 +133,8 @@ let close t =
     List.iter
       (fun (id, (actor, kind)) ->
         let tid = tid_of t actor in
-        emit t
-          (Printf.sprintf
-             "{\"cat\":\"mark\",\"name\":\"crash-truncated: %s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s}"
-             (Export.json_escape (Span.name kind))
-             tid stop);
-        emit t
-          (Printf.sprintf
-             "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"e\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%s}"
-             (Span.category kind)
-             (Export.json_escape (Span.name kind))
-             id tid stop))
+        instant t ~cat:"mark" ~name:("crash-truncated: " ^ Span.name kind) tid stop;
+        async t 'e' kind id tid stop)
       dangling;
     Hashtbl.reset t.open_spans;
     let footer = "\n]}\n" in

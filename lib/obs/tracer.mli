@@ -9,19 +9,20 @@
 
     Recording is gated on {!enabled}: a disabled tracer's record calls are
     single branch tests, so permanent instrumentation costs nothing when no
-    trace is requested. The event log is an append-order growable array —
-    every accessor is linear, never quadratic, and the order doubles as a
+    trace is requested. There is one store: packed int, float and string
+    columns in recording order, no boxed events. With a [limit] the columns
+    are a flight-recorder ring that overwrites its oldest event when full
+    (bounded memory, {!dropped} counts the overwrites); without one they
+    double when full. Every accessor is linear, and the order doubles as a
     deterministic tiebreak for simultaneous events.
 
-    Three optional attachments turn the same tracer into the large-run
-    observability pipeline: a fixed [limit] makes the store a
-    flight-recorder ring that overwrites its oldest event when full
-    (bounded memory, {!dropped} counts the overwrites); a {!set_sink} tap
-    receives every recorded event before it is (maybe) stored, which with
-    [set_store t false] gives a pure streaming tracer with O(ring) memory;
-    and a {!set_sampler} predicate drops whole span kinds at record time
-    (deterministic seeded per-transaction sampling lives in
-    {!Sampling}). *)
+    Two optional attachments turn the same tracer into the large-run
+    observability pipeline: a {!set_sink} tap receives every recorded event
+    as it is recorded, which with [set_store t false] gives a pure
+    streaming tracer with O(open spans) memory; and a {!set_sampler}
+    predicate drops whole span kinds at record time (deterministic seeded
+    per-transaction sampling lives in {!Sampling}). An [event] is boxed on
+    the write side only to hand it to a sink. *)
 
 type event =
   | Begin of { id : int; parent : int; actor : string; time : float; kind : Span.kind }
@@ -35,14 +36,16 @@ type t
 (** [create ?enabled ?limit ~clock ()]. [clock] supplies timestamps
     (virtual time); [enabled] defaults to [false]. [limit] bounds the store
     to a ring of the most recent [limit] events (flight-recorder mode);
-    omitted, the store grows without bound as before. *)
+    omitted, the store grows without bound, allocating nothing until its
+    first event. *)
 val create : ?enabled:bool -> ?limit:int -> clock:(unit -> float) -> unit -> t
 
 val enabled : t -> bool
 
 (** [set_sink t (Some f)] taps every recorded event: [f] runs before the
     event is stored (or not stored — see {!set_store}), in recording
-    order. [None] removes the tap. *)
+    order. [None] removes the tap. {!Sink.on_event} is the Chrome-trace
+    writer's tap. *)
 val set_sink : t -> (event -> unit) option -> unit
 
 (** [set_store t false] stops retaining events in memory — only the sink
@@ -83,8 +86,8 @@ val instant : t -> actor:string -> Span.kind -> unit
     protocol run's stream. Semantically identical to {!instant} with
     [Span.Message] and {!complete} with [Span.Lock_wait]/[Span.Lock_hold]
     ([wait] selects which), but the kind payload is passed as primitive
-    arguments, so the flight-recorder configuration (ring, no sink, no
-    sampler) stores it without allocating the kind record. A lock
+    arguments, so a tracer with no sink and no sampler, bounded or not,
+    stores it without allocating the kind record. A lock
     interval is given by its length [dur] and ends now on the tracer's
     clock, so the caller computes (and boxes) no start time. *)
 val instant_message :
@@ -101,9 +104,8 @@ val complete_lock :
 val length : t -> int
 val clear : t -> unit
 
-(** Events in recording order. *)
-val events : t -> event list
-
+(** [iter t f] applies [f] to the stored events in recording order,
+    oldest first. *)
 val iter : t -> (event -> unit) -> unit
 
 (** A reconstructed span. [s_id] is [-1] for [Complete] spans; [s_stop] is

@@ -2,8 +2,6 @@ type 'a resumer = ('a, exn) result -> unit
 
 type _ Effect.t += Suspend : ('a resumer -> unit) -> 'a Effect.t
 
-exception Timed_out
-
 let await register = Effect.perform (Suspend register)
 
 let spawn ?on_error engine f =
@@ -47,8 +45,6 @@ let sleep engine d =
   await (fun resume ->
       ignore (Engine.schedule engine ~delay:d (fun () -> resume (Ok ()))))
 
-let yield engine = sleep engine 0.0
-
 module Ivar = struct
   type 'a state = Empty of 'a resumer Queue.t | Full of 'a
 
@@ -70,55 +66,6 @@ module Ivar = struct
 
   let is_filled t = match t.state with Full _ -> true | Empty _ -> false
   let peek t = match t.state with Full v -> Some v | Empty _ -> None
-end
-
-module Mailbox = struct
-  type 'a waiter = { mutable active : bool; resume : 'a resumer }
-
-  type 'a t = { engine : Engine.t; items : 'a Queue.t; waiters : 'a waiter Queue.t }
-
-  let create engine = { engine; items = Queue.create (); waiters = Queue.create () }
-
-  (* Pop waiters until one is still waiting; timed-out entries are skipped. *)
-  let rec next_active_waiter t =
-    match Queue.take_opt t.waiters with
-    | None -> None
-    | Some w -> if w.active then Some w else next_active_waiter t
-
-  let send t v =
-    match next_active_waiter t with
-    | Some w ->
-      w.active <- false;
-      w.resume (Ok v)
-    | None -> Queue.add v t.items
-
-  let try_recv t = Queue.take_opt t.items
-
-  let recv t =
-    match try_recv t with
-    | Some v -> v
-    | None ->
-      await (fun resume -> Queue.add { active = true; resume } t.waiters)
-
-  let recv_timeout t d =
-    match try_recv t with
-    | Some v -> Some v
-    | None -> (
-      match
-        await (fun resume ->
-            let w = { active = true; resume } in
-            Queue.add w t.waiters;
-            ignore
-              (Engine.schedule t.engine ~delay:d (fun () ->
-                   if w.active then begin
-                     w.active <- false;
-                     resume (Error Timed_out)
-                   end)))
-      with
-      | v -> Some v
-      | exception Timed_out -> None)
-
-  let length t = Queue.length t.items
 end
 
 let all engine thunks =

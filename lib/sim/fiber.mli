@@ -27,13 +27,6 @@ val await : (('a resumer) -> unit) -> 'a
     time. *)
 val sleep : Engine.t -> float -> unit
 
-(** [yield engine] reschedules the calling fiber at the current time, letting
-    other ready fibers and events run first. *)
-val yield : Engine.t -> unit
-
-(** Raised at a suspension point by {!await} users implementing timeouts. *)
-exception Timed_out
-
 (** [all engine thunks] runs every thunk as its own fiber and waits for all
     of them, returning results in input order. Must be called from a fiber.
     If a thunk raises, [all] re-raises the first (by input order) exception
@@ -57,25 +50,4 @@ module Ivar : sig
 
   (** [peek t] is [Some v] once filled. *)
   val peek : 'a t -> 'a option
-end
-
-(** Unbounded FIFO channel between fibers. *)
-module Mailbox : sig
-  type 'a t
-
-  val create : Engine.t -> 'a t
-
-  (** [send t v] enqueues [v]; if fibers are blocked in {!recv}, the oldest
-      is woken with [v]. Never blocks. *)
-  val send : 'a t -> 'a -> unit
-
-  (** [recv t] dequeues the next value, suspending while empty. *)
-  val recv : 'a t -> 'a
-
-  (** [recv_timeout t d] is [Some v], or [None] if [d] virtual time passes
-      with no message. *)
-  val recv_timeout : 'a t -> float -> 'a option
-
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end

@@ -19,6 +19,7 @@ module Tpc = Icdb_core.Two_phase_commit
 module After = Icdb_core.Commit_after
 module Before = Icdb_core.Commit_before
 module Mlt = Icdb_core.Commit_before_mlt
+module Protocol_common = Icdb_core.Protocol_common
 
 let outcome_testable = Alcotest.testable Global.pp_outcome ( = )
 
@@ -1450,6 +1451,21 @@ let prop_columnar_graph_matches_lists =
       && Graph.edge_count g = Graph_lists.edge_count oracle
       && Graph.recorded_locals g = Graph_lists.recorded_locals oracle)
 
+(* Property: every marker key the protocols build parses back to its gid
+   and seq, and keys that are no marker parse to [None]. *)
+let prop_marker_keys_round_trip =
+  QCheck2.Test.make ~name:"marker keys parse back to gid and seq" ~count:500
+    QCheck2.Gen.(pair int int)
+    (fun (gid, seq) ->
+      Protocol_common.marker_of_key (Protocol_common.commit_marker ~gid) = Some (`Cm gid)
+      && Protocol_common.marker_of_key (Protocol_common.undo_marker ~gid ~seq)
+         = Some (`Um (gid, seq))
+      && Protocol_common.marker_of_key (Protocol_common.action_marker ~gid ~seq)
+         = Some (`Am (gid, seq))
+      && List.for_all
+           (fun key -> Protocol_common.marker_of_key key = None)
+           [ "acct-001"; "__x:1"; "__cm:" ])
+
 let () =
   Alcotest.run "core"
     [
@@ -1529,5 +1545,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_graph_matches_bruteforce;
           QCheck_alcotest.to_alcotest prop_graph_matches_reference_oracle;
           QCheck_alcotest.to_alcotest prop_columnar_graph_matches_lists;
+          QCheck_alcotest.to_alcotest prop_marker_keys_round_trip;
         ] );
     ]

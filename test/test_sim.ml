@@ -1,4 +1,4 @@
-(* Tests for Icdb_sim: event engine, fibers, ivars, mailboxes, traces. *)
+(* Tests for Icdb_sim: event engine, fibers, ivars, traces. *)
 
 module Engine = Icdb_sim.Engine
 module Fiber = Icdb_sim.Fiber
@@ -350,17 +350,6 @@ let test_fiber_sleep_interleaving () =
   Engine.run eng;
   Alcotest.(check (list string)) "interleaving" [ "a0"; "b0"; "b1"; "a1" ] (List.rev !order)
 
-let test_fiber_yield () =
-  let eng = Engine.create () in
-  let order = ref [] in
-  Fiber.spawn eng (fun () ->
-      order := 1 :: !order;
-      Fiber.yield eng;
-      order := 3 :: !order);
-  Fiber.spawn eng (fun () -> order := 2 :: !order);
-  Engine.run eng;
-  Alcotest.(check (list int)) "yield lets others run" [ 1; 2; 3 ] (List.rev !order)
-
 let test_fiber_on_error () =
   let eng = Engine.create () in
   let caught = ref "" in
@@ -442,64 +431,6 @@ let test_ivar_double_fill () =
     (fun () -> Fiber.Ivar.fill iv 2);
   Alcotest.(check bool) "is_filled" true (Fiber.Ivar.is_filled iv);
   Alcotest.(check (option int)) "peek" (Some 1) (Fiber.Ivar.peek iv)
-
-(* --- Mailbox --- *)
-
-let test_mailbox_send_recv () =
-  let eng = Engine.create () in
-  let mb = Fiber.Mailbox.create eng in
-  let got = ref [] in
-  Fiber.spawn eng (fun () ->
-      got := Fiber.Mailbox.recv mb :: !got;
-      got := Fiber.Mailbox.recv mb :: !got);
-  Fiber.spawn eng (fun () ->
-      Fiber.Mailbox.send mb "x";
-      Fiber.sleep eng 1.0;
-      Fiber.Mailbox.send mb "y");
-  Engine.run eng;
-  Alcotest.(check (list string)) "fifo delivery" [ "x"; "y" ] (List.rev !got)
-
-let test_mailbox_buffered () =
-  let eng = Engine.create () in
-  let mb = Fiber.Mailbox.create eng in
-  Fiber.Mailbox.send mb 1;
-  Fiber.Mailbox.send mb 2;
-  Alcotest.(check int) "length" 2 (Fiber.Mailbox.length mb);
-  Alcotest.(check (option int)) "try_recv" (Some 1) (Fiber.Mailbox.try_recv mb);
-  Alcotest.(check (option int)) "try_recv again" (Some 2) (Fiber.Mailbox.try_recv mb);
-  Alcotest.(check (option int)) "empty" None (Fiber.Mailbox.try_recv mb)
-
-let test_mailbox_recv_timeout_expires () =
-  let eng = Engine.create () in
-  let mb : int Fiber.Mailbox.t = Fiber.Mailbox.create eng in
-  let got = ref (Some 0) in
-  Fiber.spawn eng (fun () -> got := Fiber.Mailbox.recv_timeout mb 5.0);
-  Engine.run eng;
-  Alcotest.(check (option int)) "timed out" None !got;
-  Alcotest.(check (float 1e-9)) "waited full timeout" 5.0 (Engine.now eng)
-
-let test_mailbox_recv_timeout_delivers () =
-  let eng = Engine.create () in
-  let mb = Fiber.Mailbox.create eng in
-  let got = ref None in
-  Fiber.spawn eng (fun () -> got := Fiber.Mailbox.recv_timeout mb 5.0);
-  ignore (Engine.schedule eng ~delay:1.0 (fun () -> Fiber.Mailbox.send mb 3));
-  Engine.run eng;
-  Alcotest.(check (option int)) "delivered" (Some 3) !got
-
-let test_mailbox_message_not_lost_after_timeout () =
-  let eng = Engine.create () in
-  let mb = Fiber.Mailbox.create eng in
-  let first = ref (Some 0) and second = ref None in
-  Fiber.spawn eng (fun () ->
-      first := Fiber.Mailbox.recv_timeout mb 2.0;
-      (* message arrives after our timeout; a later recv must still get it *)
-      Fiber.sleep eng 10.0;
-      second := Fiber.Mailbox.recv_timeout mb 1.0);
-  ignore (Engine.schedule eng ~delay:5.0 (fun () -> Fiber.Mailbox.send mb 8));
-  Engine.run eng;
-  Alcotest.(check (option int)) "first timed out" None !first;
-  Alcotest.(check (option int)) "second received buffered msg" (Some 8) !second
 
 (* --- Trace --- *)
 
@@ -660,7 +591,6 @@ let () =
       ( "fiber",
         [
           Alcotest.test_case "sleep interleaving" `Quick test_fiber_sleep_interleaving;
-          Alcotest.test_case "yield" `Quick test_fiber_yield;
           Alcotest.test_case "on_error" `Quick test_fiber_on_error;
           Alcotest.test_case "error after suspension" `Quick test_fiber_error_after_suspension;
           Alcotest.test_case "resume once" `Quick test_fiber_await_resume_once;
@@ -671,15 +601,6 @@ let () =
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
           Alcotest.test_case "read blocks until fill" `Quick test_ivar_read_blocks_until_fill;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "send/recv" `Quick test_mailbox_send_recv;
-          Alcotest.test_case "buffered" `Quick test_mailbox_buffered;
-          Alcotest.test_case "timeout expires" `Quick test_mailbox_recv_timeout_expires;
-          Alcotest.test_case "timeout delivers" `Quick test_mailbox_recv_timeout_delivers;
-          Alcotest.test_case "no message loss after timeout" `Quick
-            test_mailbox_message_not_lost_after_timeout;
         ] );
       ( "trace",
         [

@@ -1,9 +1,8 @@
-(* Tests for Icdb_util: PRNG, Zipf sampling, statistics, table rendering. *)
+(* Tests for Icdb_util: PRNG, Zipf sampling, table rendering, btree, symbols. *)
 
 module Rng = Icdb_util.Rng
 module Btree = Icdb_util.Btree
 module Zipf = Icdb_util.Zipf
-module Stats = Icdb_util.Stats
 module Table = Icdb_util.Table
 module Strtbl = Icdb_util.Strtbl
 module Gid_store = Icdb_util.Gid_store
@@ -193,50 +192,6 @@ let test_zipf_sample_range_and_skew () =
     counts.(k) <- counts.(k) + 1
   done;
   Alcotest.(check bool) "rank 0 hottest" true (counts.(0) > counts.(9) * 3)
-
-(* --- Stats --- *)
-
-let test_summary_basic () =
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check int) "count" 8 (Stats.Summary.count s);
-  check_float "mean" 5.0 (Stats.Summary.mean s);
-  check_float "min" 2.0 (Stats.Summary.min s);
-  check_float "max" 9.0 (Stats.Summary.max s);
-  check_float "total" 40.0 (Stats.Summary.total s);
-  (* population variance is 4; sample variance = 32/7 *)
-  Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0) (Stats.Summary.variance s)
-
-let test_summary_empty () =
-  let s = Stats.Summary.create () in
-  check_float "mean of empty" 0.0 (Stats.Summary.mean s);
-  check_float "variance of empty" 0.0 (Stats.Summary.variance s);
-  Alcotest.check_raises "min of empty" (Invalid_argument "Stats.Summary.min: empty")
-    (fun () -> ignore (Stats.Summary.min s))
-
-let test_sample_percentiles () =
-  let s = Stats.Sample.create () in
-  List.iter (Stats.Sample.add s) [ 15.0; 20.0; 35.0; 40.0; 50.0 ];
-  check_float "p0 = min" 15.0 (Stats.Sample.percentile s 0.0);
-  check_float "p100 = max" 50.0 (Stats.Sample.percentile s 100.0);
-  check_float "median" 35.0 (Stats.Sample.median s);
-  check_float "p25 interpolated" 20.0 (Stats.Sample.percentile s 25.0);
-  check_float "p90 interpolated" 46.0 (Stats.Sample.percentile s 90.0)
-
-let test_sample_grows () =
-  let s = Stats.Sample.create () in
-  for i = 1 to 1000 do
-    Stats.Sample.add s (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Stats.Sample.count s);
-  check_float "mean" 500.5 (Stats.Sample.mean s)
-
-let test_histogram () =
-  let values = Array.init 100 float_of_int in
-  let h = Stats.histogram ~buckets:10 values in
-  Alcotest.(check int) "10 buckets" 10 (Array.length h);
-  Array.iter (fun (_, c) -> Alcotest.(check int) "10 per bucket" 10 c) h;
-  Alcotest.(check int) "empty input" 0 (Array.length (Stats.histogram ~buckets:4 [||]))
 
 (* --- Table --- *)
 
@@ -508,20 +463,6 @@ let prop_rng_int_in_bounds =
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
 
-let prop_percentile_within_extremes =
-  QCheck2.Test.make ~name:"percentile lies within [min,max]" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 50) (float_bound_inclusive 1000.0))
-    (fun values ->
-      let s = Stats.Sample.create () in
-      List.iter (Stats.Sample.add s) values;
-      let lo = List.fold_left Float.min infinity values in
-      let hi = List.fold_left Float.max neg_infinity values in
-      List.for_all
-        (fun p ->
-          let v = Stats.Sample.percentile s p in
-          v >= lo -. 1e-9 && v <= hi +. 1e-9)
-        [ 0.0; 10.0; 50.0; 90.0; 100.0 ])
-
 let prop_zipf_sample_in_range =
   QCheck2.Test.make ~name:"zipf sample in range" ~count:200
     QCheck2.Gen.(triple (int_range 1 500) (float_bound_inclusive 2.0) int)
@@ -715,20 +656,6 @@ let test_symbol_deterministic_across_domains () =
   Alcotest.(check (list int)) "same ids on every domain" (intern_all ()) ids1;
   Alcotest.(check (list int)) "domains agree" ids1 ids2
 
-(* --- Sample sort cache --- *)
-
-let test_sample_percentile_cache_invalidation () =
-  let s = Stats.Sample.create () in
-  List.iter (Stats.Sample.add s) [ 3.0; 1.0; 2.0 ];
-  check_float "median before add" 2.0 (Stats.Sample.median s);
-  check_float "median cached" 2.0 (Stats.Sample.median s);
-  Stats.Sample.add s 10.0;
-  check_float "p100 sees new value" 10.0 (Stats.Sample.percentile s 100.0);
-  check_float "median after add" 2.5 (Stats.Sample.median s);
-  (* The cache must not disturb insertion order. *)
-  Alcotest.(check (array (float 1e-9)))
-    "values keep insertion order" [| 3.0; 1.0; 2.0; 10.0 |] (Stats.Sample.values s)
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -758,16 +685,6 @@ let () =
           Alcotest.test_case "sample range and skew" `Quick test_zipf_sample_range_and_skew;
           Alcotest.test_case "matches pre-fusion reference build" `Quick
             test_zipf_matches_reference_build;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "summary basic" `Quick test_summary_basic;
-          Alcotest.test_case "summary empty" `Quick test_summary_empty;
-          Alcotest.test_case "sample percentiles" `Quick test_sample_percentiles;
-          Alcotest.test_case "sample grows" `Quick test_sample_grows;
-          Alcotest.test_case "percentile cache invalidation" `Quick
-            test_sample_percentile_cache_invalidation;
-          Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "symbol",
         [
@@ -802,7 +719,6 @@ let () =
         qc
           [
             prop_rng_int_in_bounds;
-            prop_percentile_within_extremes;
             prop_zipf_sample_in_range;
             prop_sample_distinct_matches_reference;
             prop_strtbl_iterates_like_hashtbl;
